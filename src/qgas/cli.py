@@ -118,19 +118,9 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
 
 
 def _report_record(report: RegimeReport) -> dict:
-    row = row_from_report(report)
-    return {
-        "p0": row.p0,
-        "K": row.K,
-        "paper_label": row.paper_label,
-        "selfconsistent_label": row.selfconsistent_label,
-        "branch": row.branch,
-        "z": row.z,
-        "z_prime": row.z_prime,
-        "b": row.b,
-        "flags": list(row.flags),
-        "labels_differ": report.labels_differ,
-    }
+    record = row_from_report(report).to_record()
+    record["labels_differ"] = report.labels_differ
+    return record
 
 
 def _json_text(payload) -> str:

@@ -1,29 +1,30 @@
-"""Order-3/2 polylogarithm series for ideal quantum gas statistics.
+"""Order-3/2 polylogarithm functions for ideal quantum gas statistics.
 
 Three evaluations of the same family are provided:
 
-* :func:`bose_g32` sums ``sum_{k>=1} z**k / k**1.5`` (all terms positive),
-* :func:`fermi_f32_full` sums the alternating counterpart
-  ``sum_{k>=1} (-1)**(k+1) z**k / k**1.5``,
+* :func:`bose_g32` is ``g(z) = sum_{k>=1} z**k / k**1.5`` (all terms positive),
+* :func:`fermi_f32_full` is the alternating counterpart
+  ``f(z) = sum_{k>=1} (-1)**(k+1) z**k / k**1.5``,
 * :func:`fermi_f32_truncated` evaluates only the first three terms of the
   alternating series, which is a common closed-form shorthand for the
   Fermi branch.
 
+``g`` is computed by one scalar evaluator built on :mod:`math` alone: the
+power series itself for z <= 1/2, and Robinson's expansion around z = 1
+above that.  ``f`` follows from the duplication identity
+``f(z) = g(z) - 2**-0.5 * g(z*z)``.  Both are accurate to about 1e-15
+relative on all of [0, 1].
+
 :func:`bose_g32_quadrature` evaluates the Bose function through its
-integral representation instead of the series.  It exists as an
-independent cross-check route and deliberately shares no code with the
-series path.
+integral representation instead.  It exists as an independent cross-check
+route, deliberately shares no code with the evaluator, and imports scipy
+only when called.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureError, TruncationError
 
@@ -36,22 +37,55 @@ ETA_3_2 = 0.7651470246254079
 
 _GAMMA_3_2 = math.sqrt(math.pi) / 2.0
 
-# Above this fugacity the terms decay too slowly to pass below a tight
-# tolerance within any reasonable term cap, so summation runs to the cap
-# and an integral estimate of the remaining tail is added instead.
-_SLOW_DECAY_Z = 0.999
+_SQRT_HALF = 2.0 ** -0.5
+_TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
-# Below this fugacity the geometric decay makes the post-stop tail smaller
-# than the tolerance on its own; no tail estimate is needed (or accurate).
-_TAIL_Z = 0.25
+# Split between the two routes of _g32, as a = -ln z: the power series runs
+# for z <= 1/2, where it needs at most ~46 terms, and Robinson's expansion
+# above, where its cancellation against the sqrt term costs a few ulp at most.
+_A_SPLIT = math.log(2.0)
+
+# 1 / k**1.5 for k = 1, 2, ...; the power series below z = 1/2 stops well
+# before the end of the table.
+_INV_K32 = tuple(k ** -1.5 for k in range(1, 65))
+
+# Robinson's expansion of the order-3/2 function around z = 1,
+#   g(e**-a) = -2*sqrt(pi*a) + sum_n c_n * a**n,  |a| < 2*pi,
+# with c_n = zeta(3/2 - n) * (-1)**n / n!  (J. E. Robinson, Phys. Rev. 83,
+# 678 (1951); DLMF 25.12(ii)).  Values from mpmath at 40 digits, rounded to
+# doubles; listed from n = 19 down to n = 1 for Horner's rule, c_0 being
+# ZETA_3_2.  At a = ln 2 the first omitted term is below 1e-18 of the value.
+_ROBINSON_C = (
+    2.9838927236489313e-17,
+    -2.0355407394278723e-16,
+    -1.3952453213446556e-15,
+    9.615068088964928e-15,
+    6.666434552781358e-14,
+    -4.654251296129395e-13,
+    -3.2755597533804275e-12,
+    2.3269489024551932e-11,
+    1.6715198353742387e-10,
+    -1.216940275850113e-09,
+    -9.008596705798667e-09,
+    6.812420484962472e-08,
+    5.300511944244494e-07,
+    -4.293985065577547e-06,
+    -3.7008427795661934e-05,
+    0.00035487203241043046,
+    0.004247533648305506,
+    -0.10394311248867728,
+    1.4603545088095868,
+)
 
 
 @dataclass(frozen=True)
 class SeriesParams:
-    """Truncation controls shared by the two series evaluators.
+    """Truncation controls of the direct series ``sum_k z**k / k**1.5``.
 
-    Summation stops once the current term drops below ``tolerance``;
-    ``max_terms`` caps the number of summed terms.
+    ``max_terms`` caps the number of summed terms and ``tolerance`` is the
+    size below which a term ends the sum.  The evaluators compute their
+    values in closed form; these controls only decide whether the direct
+    series would have converged within the cap (see :func:`bose_g32`).
     """
 
     tolerance: float = 1e-12
@@ -66,100 +100,59 @@ class SeriesParams:
 
 DEFAULT_SERIES_PARAMS = SeriesParams()
 
-# Shared term tables: _K_TABLE[i] = i + 1, _INV_K32[i] = (i + 1)**-1.5.
-# Grown on demand; replacement is atomic so concurrent readers are safe.
-_table_lock = threading.Lock()
-_K_TABLE = np.arange(1.0, 257.0)
-_INV_K32 = _K_TABLE ** -1.5
 
+def _g32(z: float, a: float) -> float:
+    """Order-3/2 Bose function at ``z = exp(-a)``, for 0 <= z <= 1.
 
-def _grow_tables(n: int) -> None:
-    global _K_TABLE, _INV_K32
-    if _K_TABLE.size >= n:
-        return
-    with _table_lock:
-        if _K_TABLE.size >= n:
-            return
-        size = max(n, 2 * _K_TABLE.size)
-        ks = np.arange(1.0, size + 1.0)
-        inv = ks ** -1.5
-        _K_TABLE, _INV_K32 = ks, inv
-
-
-def _slice_sum(terms: np.ndarray, k_start: int, alternating: bool) -> float:
-    if not alternating:
-        return float(terms.sum())
-    odd = terms[0::2].sum()  # k = k_start, k_start + 2, ...
-    even = terms[1::2].sum()
-    return float(odd - even) if k_start % 2 == 1 else float(even - odd)
-
-
-def _tail_estimate(z: float, eps: float, m: int, alternating: bool) -> float:
-    """Estimate of the series remainder from term index ``m`` onward.
-
-    For the alternating series this is the two-term Euler summation of the
-    tail.  For the positive series it is the midpoint-rule integral of
-    ``z**x * x**-1.5`` from ``m - 1/2`` to infinity, which has the closed
-    form below in terms of erfc.  Both are accurate when the terms vary
-    slowly (z near 1), which is exactly when the remainder matters.
+    Both arguments are taken so that a caller holding an exact ``a`` (the
+    Fermi duplication passes ``2*a`` for ``z*z``) keeps it on the route
+    near z = 1, where the ``sqrt(a)`` term amplifies any rounding of ``z``.
     """
-    phi = z ** m * m ** -1.5
-    if alternating:
-        sign = 1.0 if m % 2 == 1 else -1.0
-        return sign * phi * (0.5 + 0.25 * (eps + 1.5 / m))
-    if phi == 0.0:
-        return 0.0
-    a = m - 0.5
-    s = eps * a
-    return 2.0 * math.exp(-s) / math.sqrt(a) - 2.0 * math.sqrt(math.pi * eps) * math.erfc(math.sqrt(s))
+    if a < _A_SPLIT:
+        s = 0.0
+        for c in _ROBINSON_C:
+            s = s * a + c
+        # Near the split c_0 and the sqrt term nearly cancel; their
+        # difference is exact, so taking it first saves ~1 ulp.
+        return (ZETA_3_2 - _TWO_SQRT_PI * math.sqrt(a)) + s * a
+    # Direct series; fsum keeps the forward accumulation from costing ~6 ulp.
+    # The stop test is <=, not <: once z**k underflows both sides can be 0.
+    terms = []
+    total = 0.0
+    power = 1.0
+    for inv_k32 in _INV_K32:
+        power *= z
+        term = power * inv_k32
+        terms.append(term)
+        total += term
+        if term <= 1e-17 * total:
+            break
+    return math.fsum(terms)
 
 
-@lru_cache(maxsize=8192)
-def _sum_series(z: float, alternating: bool, tolerance: float, max_terms: int) -> float:
-    if z == 0.0:
-        return 0.0
-    eps = 0.0 if z == 1.0 else -math.log(z)
+def _check_term_cap(z: float, params: SeriesParams, alternating: bool) -> None:
+    """Raise TruncationError when the direct series would miss ``params``.
 
-    if z == 1.0:
-        # Terms are k**-1.5 exactly; the first index below tolerance is known
-        # in closed form, so skip the chunked scan.
-        m = max_terms + 1
-        cap = tolerance ** (-2.0 / 3.0)
-        if cap < max_terms:
-            k = max(int(cap) - 2, 1)
-            while k ** -1.5 >= tolerance:
-                k += 1
-            m = k
-        _grow_tables(m - 1)
-        partial = _slice_sum(_INV_K32[: m - 1], 1, alternating)
-        return partial + _tail_estimate(z, eps, m, alternating)
-
+    For z <= 0.999 the terms z**k / k**1.5 decrease, so the series converges
+    within ``max_terms`` exactly when the term at the cap is below
+    ``tolerance``.  Above 0.999 no cap is enforced, because there no
+    practical cap meets a tight tolerance and the closed form needs none.
+    """
+    if z > 0.999:
+        return
+    m = params.max_terms
+    # exp(-1.5 * log(m)) rather than m ** -1.5, which overflows for m > 1e308.
+    last_term = z ** m * math.exp(-1.5 * math.log(m))
+    if last_term < params.tolerance:
+        return
     partial = 0.0
-    k_start = 1
-    chunk = 256
-    last_term = math.nan
-    while k_start <= max_terms:
-        k_end = min(k_start + chunk - 1, max_terms)
-        _grow_tables(k_end)
-        ks = _K_TABLE[k_start - 1 : k_end]
-        terms = np.power(z, ks) * _INV_K32[k_start - 1 : k_end]
-        below = terms < tolerance
-        if below.any():
-            i = int(np.argmax(below))
-            partial += _slice_sum(terms[:i], k_start, alternating)
-            m = k_start + i  # first term not added
-            if z >= _TAIL_Z:
-                partial += _tail_estimate(z, eps, m, alternating)
-            return partial
-        partial += _slice_sum(terms, k_start, alternating)
-        last_term = float(terms[-1])
-        k_start = k_end + 1
-        chunk = min(chunk * 2, 65536)
-
-    if z > _SLOW_DECAY_Z:
-        return partial + _tail_estimate(z, eps, max_terms + 1, alternating)
+    power = 1.0
+    for k in range(1, m + 1):
+        power *= z
+        term = power * k ** -1.5
+        partial += -term if alternating and k % 2 == 0 else term
     raise TruncationError(
-        f"series did not converge within {max_terms} terms at z={z!r} "
+        f"series did not converge within {m} terms at z={z!r} "
         f"(partial sum {partial!r}, last term {last_term!r})",
         partial_sum=partial,
         last_term=last_term,
@@ -179,13 +172,17 @@ def _checked_z(z: float, name: str = "z") -> float:
 def bose_g32(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
     """Bose order-3/2 polylogarithm ``sum_{k>=1} z**k / k**1.5``.
 
+    The power series runs for z <= 1/2 and Robinson's expansion around
+    z = 1 above that; the value is accurate to about 1e-15 relative on all
+    of [0, 1].
+
     Parameters
     ----------
     z : float
         Fugacity in [0, 1].
     params : SeriesParams
-        Truncation controls.  Terms are summed until one drops below
-        ``params.tolerance`` or ``params.max_terms`` is reached.
+        Truncation controls of the direct series.  They decide only whether
+        that series would have converged (see Raises), not the value.
 
     Returns
     -------
@@ -197,24 +194,33 @@ def bose_g32(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
     DomainError
         If z is outside [0, 1].
     TruncationError
-        If the term cap is reached with terms still at or above tolerance
-        and z is not in the slow-decay region near 1 (there, a midpoint
-        integral estimate of the tail is added instead of failing).
+        If 0 < z <= 0.999 and the direct series term at ``params.max_terms``
+        is still at or above ``params.tolerance``.  The error carries the
+        sum of the first ``max_terms`` terms and that last term.  Near z = 1
+        no cap is enforced.
     """
     z = _checked_z(z)
-    return _sum_series(z, False, params.tolerance, params.max_terms)
+    if z == 0.0:
+        return 0.0
+    _check_term_cap(z, params, alternating=False)
+    return _g32(z, -math.log(z))
 
 
 def fermi_f32_full(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
     """Full alternating order-3/2 series ``sum_{k>=1} (-1)**(k+1) z**k / k**1.5``.
 
-    Same truncation contract as :func:`bose_g32`.  Because the series
-    alternates, the partial-sum error is bounded by the first omitted
-    term, so the result is within ``params.tolerance`` of the limit
-    whenever summation stops by the term rule.
+    Evaluated through the duplication identity
+    ``f(z) = g(z) - 2**-0.5 * g(z*z)`` with ``g`` as in :func:`bose_g32`;
+    the value is accurate to about 1e-15 relative on all of [0, 1].  Same
+    truncation contract as :func:`bose_g32`; a TruncationError carries the
+    alternating partial sum.
     """
     z = _checked_z(z)
-    return _sum_series(z, True, params.tolerance, params.max_terms)
+    if z == 0.0:
+        return 0.0
+    _check_term_cap(z, params, alternating=True)
+    a = -math.log(z)
+    return _g32(z, a) - _SQRT_HALF * _g32(z * z, 2.0 * a)
 
 
 def fermi_f32_truncated(z: float) -> float:
@@ -234,7 +240,7 @@ def bose_g32_quadrature(z: float) -> float:
     by adaptive quadrature.  The substitution ``x = t**2`` on [0, 1] turns
     the would-be ``1/sqrt(x)`` endpoint singularity at z = 1 into a smooth
     integrand, so the whole fugacity range [0, 1] is handled without a
-    cutoff.  Independent of the series path by construction; intended as a
+    cutoff.  Independent of :func:`bose_g32` by construction; intended as a
     cross-check oracle rather than a fast evaluator.
 
     Raises
@@ -245,6 +251,8 @@ def bose_g32_quadrature(z: float) -> float:
         If the quadrature reports trouble or its own error estimate
         exceeds 1e-9 in units of the returned value.
     """
+    from scipy.integrate import quad
+
     z = _checked_z(z)
     if z == 0.0:
         return 0.0
@@ -260,7 +268,7 @@ def bose_g32_quadrature(z: float) -> float:
         return math.sqrt(x) * q / (1.0 - q)
 
     res_low = quad(low, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200, full_output=1)
-    res_high = quad(high, 1.0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200, full_output=1)
+    res_high = quad(high, 1.0, math.inf, epsabs=1e-13, epsrel=1e-13, limit=200, full_output=1)
     for res in (res_low, res_high):
         if len(res) > 3:
             raise QuadratureError(f"quadrature failed at z={z!r}: {res[3]}")
@@ -271,5 +279,8 @@ def bose_g32_quadrature(z: float) -> float:
 
 
 def clear_series_cache() -> None:
-    """Drop memoized series sums (used by benchmarks to measure cold calls)."""
-    _sum_series.cache_clear()
+    """Do nothing; kept for callers that clear the cache before cold timings.
+
+    The evaluators keep no memo: every call computes its value afresh, so
+    every call is already cold.
+    """

@@ -41,6 +41,11 @@ COUPLING_CONSTANT = 32.0 * math.pi ** 2.5
 B_DILUTION_NOMINAL = 1.0
 B_CONDENSATION_NOMINAL = 1.4
 
+# H(1) = (e - 1) * zeta(3/2), correctly rounded.  Computing e*g - g from
+# g(1) = ZETA_3_2 rounds one ulp low, which would put the coupling H(1)
+# itself outside the solvable window.
+_H_AT_1 = 4.488797090760637
+
 # Lower end of the root bracket; z = 0 itself is excluded because b and
 # the residuals are defined through g(z)/z.
 _BRACKET_LO = 1e-9
@@ -124,6 +129,8 @@ def bose_constraint_lhs(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) 
     if not 0.0 < z <= 1.0:
         raise DomainError(f"z must lie in (0, 1], got {z!r}")
     g = bose_g32(z, params)
+    if z == 1.0:
+        return _H_AT_1
     return math.e * g / z - g
 
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .errors import DomainError
 from .gas import occupation_bose, occupation_fermi
@@ -11,18 +12,6 @@ from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams
 from .regime import FLAG_ORDER, RegimeReport, classify_both, classify_paper, classify_selfconsistent
 
 SWEEP_MODES = ("paper", "self", "both")
-_CSV_HEADER = "p0,K,paper_label,selfconsistent_label,branch,z,z_prime,b,flags"
-_COLUMNS = (
-    "p0",
-    "K",
-    "paper_label",
-    "selfconsistent_label",
-    "branch",
-    "z",
-    "z_prime",
-    "b",
-    "flags",
-)
 
 
 @dataclass(frozen=True)
@@ -69,6 +58,19 @@ class SweepRow:
     z_prime: float | None
     b: float | None
     flags: tuple[str, ...]
+
+    def to_record(self) -> dict:
+        """The row as a JSON-ready dict: keys in column order, flags as a list."""
+        record = dict(zip(_COLUMNS, _row_values(self)))
+        record["flags"] = list(self.flags)
+        return record
+
+
+# The CSV columns and JSON keys, in this order, are the fields of SweepRow;
+# flags comes last.
+_COLUMNS = tuple(f.name for f in fields(SweepRow))
+_CSV_HEADER = ",".join(_COLUMNS)
+_row_values = attrgetter(*_COLUMNS)
 
 
 def row_from_report(report: RegimeReport) -> SweepRow:
@@ -122,29 +124,16 @@ def emit_csv(rows: list[SweepRow]) -> str:
     """Render rows as deterministic CSV (LF line ends, trailing newline)."""
     lines = [_CSV_HEADER]
     for row in rows:
-        cells = [
-            _csv_cell(row.p0),
-            _csv_cell(row.K),
-            _csv_cell(row.paper_label),
-            _csv_cell(row.selfconsistent_label),
-            _csv_cell(row.branch),
-            _csv_cell(row.z),
-            _csv_cell(row.z_prime),
-            _csv_cell(row.b),
-            "|".join(row.flags),
-        ]
+        *values, flags = _row_values(row)
+        cells = [_csv_cell(value) for value in values]
+        cells.append("|".join(flags))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def emit_json(rows: list[SweepRow]) -> str:
     """Render rows as a JSON array of objects in column order."""
-    payload = []
-    for row in rows:
-        record = {name: getattr(row, name) for name in _COLUMNS if name != "flags"}
-        record["flags"] = list(row.flags)
-        payload.append(record)
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([row.to_record() for row in rows], indent=2) + "\n"
 
 
 def occupation_curve(

@@ -1,12 +1,17 @@
 """Series evaluators against brute-force oracles and frozen references."""
 
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgas
 from qgas.errors import DomainError, TruncationError
 from qgas.polylog import (
     ETA_3_2,
@@ -30,6 +35,20 @@ F32_TRUNC_AT_0_1 = 0.09665691618379714
 TENTHS = [k / 10.0 for k in range(1, 10)]
 
 unit_z = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+# Oracle points: the subnormal and tiny end, both sides of the z = 1/2 split
+# between power series and z -> 1 expansion (and of z = sqrt(1/2), where the
+# Fermi duplication's g(z*z) crosses it), a mid-band grid, and the approach
+# to z = 1.  mpmath's polylog(1.5, -z) takes ~70 ms for z above ~0.89, so
+# the grid stops at 7/8 and the approach uses few points.
+_SPLITS = (0.5, math.sqrt(0.5))
+ORACLE_Z = sorted(
+    {5e-324, 1e-300, 1e-9, 1e-3}
+    | {math.nextafter(z, toward) for z in _SPLITS for toward in (0.0, 1.0)}
+    | set(_SPLITS)
+    | {k / 32.0 for k in range(1, 29)}
+    | {0.95, 1.0 - 1e-4, 1.0 - 1e-10, 1.0 - 1e-15, math.nextafter(1.0, 0.0), 1.0}
+)
 
 
 def brute_bose(z: float, terms: int = 5000) -> float:
@@ -82,8 +101,8 @@ class TestBoseG32:
         assert err.value.last_term >= 1e-12
 
     def test_slow_decay_path_still_converges(self):
-        # Just below z = 1 the term cutoff can never be reached; the tail
-        # estimate must carry the result instead of raising.
+        # Just below z = 1 the term cutoff can never be reached; no cap is
+        # enforced there and the value must come back instead of an error.
         params = SeriesParams(tolerance=1e-12, max_terms=100_000)
         assert bose_g32(0.9999, params) == pytest.approx(brute_bose(0.9999, 400_000), abs=1e-9)
 
@@ -175,6 +194,25 @@ def test_strict_monotonicity_on_grid():
         assert prev < curr
     for prev, curr in zip(f_values, f_values[1:]):
         assert prev < curr
+
+
+@pytest.mark.parametrize("z", ORACLE_Z)
+def test_relative_error_against_mpmath(z):
+    with mpmath.workdps(30):
+        g_ref = mpmath.re(mpmath.polylog(1.5, z))
+        f_ref = -mpmath.re(mpmath.polylog(1.5, -z))
+        assert abs(bose_g32(z) - g_ref) <= 1e-14 * g_ref
+        assert abs(fermi_f32_full(z) - f_ref) <= 1e-14 * f_ref
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    probe = "import sys, qgas; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(qgas.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestQuadratureOracle:
