@@ -41,7 +41,7 @@ _SQRT_HALF = 2.0 ** -0.5
 _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
 # Split between the two routes of _g32, as a = -ln z: the power series runs
-# for z <= 1/2, where it needs at most ~46 terms, and Robinson's expansion
+# for z <= 1/2, where it needs at most 49 terms, and Robinson's expansion
 # above, where its cancellation against the sqrt term costs a few ulp at most.
 _A_SPLIT = math.log(2.0)
 
@@ -133,10 +133,10 @@ def _g32(z: float, a: float) -> float:
 def _check_term_cap(z: float, params: SeriesParams, alternating: bool) -> None:
     """Raise TruncationError when the direct series would miss ``params``.
 
-    For z <= 0.999 the terms z**k / k**1.5 decrease, so the series converges
-    within ``max_terms`` exactly when the term at the cap is below
-    ``tolerance``.  Above 0.999 no cap is enforced, because there no
-    practical cap meets a tight tolerance and the closed form needs none.
+    The terms z**k / k**1.5 decrease, so the direct series stops within
+    ``max_terms`` exactly when its term at the cap is below ``tolerance``.
+    Above z = 0.999 no cap is enforced: there no practical cap meets a
+    tight tolerance, and the closed form needs none.
     """
     if z > 0.999:
         return
