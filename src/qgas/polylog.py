@@ -37,7 +37,6 @@ ETA_3_2 = 0.7651470246254079
 
 _GAMMA_3_2 = math.sqrt(math.pi) / 2.0
 
-_SQRT_HALF = 2.0 ** -0.5
 _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
 # Split between the two routes of _g32, as a = -ln z: the power series runs
@@ -53,12 +52,9 @@ _INV_K32 = tuple(k ** -1.5 for k in range(1, 65))
 #   g(e**-a) = -2*sqrt(pi*a) + sum_n c_n * a**n,  |a| < 2*pi,
 # with c_n = zeta(3/2 - n) * (-1)**n / n!  (J. E. Robinson, Phys. Rev. 83,
 # 678 (1951); DLMF 25.12(ii)).  Values from mpmath at 40 digits, rounded to
-# doubles; listed from n = 19 down to n = 1 for Horner's rule, c_0 being
-# ZETA_3_2.  At a = ln 2 the first omitted term is below 1e-18 of the value.
+# doubles; listed from n = 16 down to n = 1 for Horner's rule, c_0 being
+# ZETA_3_2.  At a = ln 2 the first omitted term is below 1e-17 of the value.
 _ROBINSON_C = (
-    2.9838927236489313e-17,
-    -2.0355407394278723e-16,
-    -1.3952453213446556e-15,
     9.615068088964928e-15,
     6.666434552781358e-14,
     -4.654251296129395e-13,
@@ -145,12 +141,8 @@ def _check_term_cap(z: float, params: SeriesParams, alternating: bool) -> None:
     last_term = z ** m * math.exp(-1.5 * math.log(m))
     if last_term < params.tolerance:
         return
-    partial = 0.0
-    power = 1.0
-    for k in range(1, m + 1):
-        power *= z
-        term = power * k ** -1.5
-        partial += -term if alternating and k % 2 == 0 else term
+    sign = -1.0 if alternating else 1.0
+    partial = sign * math.fsum((sign * z) ** k * k ** -1.5 for k in range(1, m + 1))
     raise TruncationError(
         f"series did not converge within {m} terms at z={z!r} "
         f"(partial sum {partial!r}, last term {last_term!r})",
@@ -220,7 +212,7 @@ def fermi_f32_full(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> fl
         return 0.0
     _check_term_cap(z, params, alternating=True)
     a = -math.log(z)
-    return _g32(z, a) - _SQRT_HALF * _g32(z * z, 2.0 * a)
+    return _g32(z, a) - 2.0 ** -0.5 * _g32(z * z, 2.0 * a)
 
 
 def fermi_f32_truncated(z: float) -> float:
@@ -279,8 +271,4 @@ def bose_g32_quadrature(z: float) -> float:
 
 
 def clear_series_cache() -> None:
-    """Do nothing; kept for callers that clear the cache before cold timings.
-
-    The evaluators keep no memo: every call computes its value afresh, so
-    every call is already cold.
-    """
+    """Do nothing: the evaluators keep no memo, so every call is already cold."""

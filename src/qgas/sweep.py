@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from operator import attrgetter
 
 from .errors import DomainError
 from .gas import occupation_bose, occupation_fermi
@@ -61,7 +60,7 @@ class SweepRow:
 
     def to_record(self) -> dict:
         """The row as a JSON-ready dict: keys in column order, flags as a list."""
-        record = dict(zip(_COLUMNS, _row_values(self)))
+        record = {name: getattr(self, name) for name in _COLUMNS}
         record["flags"] = list(self.flags)
         return record
 
@@ -70,7 +69,6 @@ class SweepRow:
 # flags comes last.
 _COLUMNS = tuple(f.name for f in fields(SweepRow))
 _CSV_HEADER = ",".join(_COLUMNS)
-_row_values = attrgetter(*_COLUMNS)
 
 
 def row_from_report(report: RegimeReport) -> SweepRow:
