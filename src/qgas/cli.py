@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     ConvergenceError,
@@ -29,6 +28,7 @@ from .polylog import SeriesParams, bose_g32, fermi_f32_full, fermi_f32_truncated
 from .regime import (
     B_CONDENSATION_NOMINAL,
     B_DILUTION_NOMINAL,
+    SERIES_VARIANTS,
     RegimeReport,
     classify_both,
     classify_paper,
@@ -37,7 +37,9 @@ from .regime import (
     threshold_condensation,
     threshold_dilution,
 )
-from .sweep import SweepSpec, emit_csv, emit_json, occupation_curve, row_from_report, run_sweep
+from .sweep import (
+    SWEEP_MODES, SweepSpec, emit_csv, emit_json, occupation_curve, row_from_report, run_sweep
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,22 +63,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Effective settings after merging flags, environment and defaults."""
-
-    tolerance: float = 1e-12
-    max_terms: int = 100_000
-    window: float = 0.01
-    series: str = "truncated"
-    format: str = "text"
-    out: str | None = None
-
-    @property
-    def series_params(self) -> SeriesParams:
-        return SeriesParams(tolerance=self.tolerance, max_terms=self.max_terms)
-
-
 def _env_float(name: str) -> float | None:
     raw = os.environ.get(name)
     if raw is None:
@@ -91,30 +77,30 @@ def _env_series() -> str | None:
     raw = os.environ.get(_ENV_SERIES)
     if raw is None:
         return None
-    if raw not in ("full", "truncated"):
+    if raw not in SERIES_VARIANTS:
         raise _UsageError(
             f"environment variable {_ENV_SERIES} must be 'full' or 'truncated', got {raw!r}"
         )
     return raw
 
 
-def _pick(flag_value, env_value, default):
-    if flag_value is not None:
-        return flag_value
-    if env_value is not None:
-        return env_value
-    return default
+def _fill_settings(args: argparse.Namespace) -> None:
+    """Set tolerance, window and series from the flag, else the environment, else the default.
+
+    Every variable is read, so a malformed one is a usage error even where
+    its flag is given.
+    """
+    for name, env_value, default in (
+        ("tolerance", _env_float(_ENV_TOL), 1e-12),
+        ("window", _env_float(_ENV_WINDOW), 0.01),
+        ("series", _env_series(), "truncated"),
+    ):
+        if getattr(args, name) is None:
+            setattr(args, name, default if env_value is None else env_value)
 
 
-def _resolve_config(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        tolerance=_pick(args.tolerance, _env_float(_ENV_TOL), 1e-12),
-        max_terms=args.max_terms if args.max_terms is not None else 100_000,
-        window=_pick(args.window, _env_float(_ENV_WINDOW), 0.01),
-        series=_pick(args.series, _env_series(), "truncated"),
-        format=args.format if args.format is not None else "text",
-        out=args.out,
-    )
+def _series_params(args: argparse.Namespace) -> SeriesParams:
+    return SeriesParams(tolerance=args.tolerance, max_terms=args.max_terms)
 
 
 def _report_record(report: RegimeReport) -> dict:
@@ -127,24 +113,25 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_polylog(args: argparse.Namespace, config: CliConfig) -> str:
-    params = config.series_params
+def _cmd_polylog(args: argparse.Namespace) -> str:
+    params = _series_params(args)
     if args.kind == "bose":
         value = bose_g32(args.z, params)
     elif args.kind == "fermi":
         value = fermi_f32_full(args.z, params)
     else:
         value = fermi_f32_truncated(args.z)
-    if config.format == "json":
+    if args.format == "json":
         return _json_text({"kind": args.kind, "z": args.z, "value": value})
-    if config.format == "csv":
+    if args.format == "csv":
         return f"kind,z,value\n{args.kind},{args.z!r},{value!r}\n"
     return f"{value!r}\n"
 
 
-def _threshold_rows(b: float | None, config: CliConfig) -> list[dict]:
+def _threshold_rows(args: argparse.Namespace) -> list[dict]:
+    b = args.b
     if b is None:
-        fixed = condensation_fixed_point(config.series_params)
+        fixed = condensation_fixed_point(_series_params(args))
         return [
             {
                 "name": "dilution",
@@ -174,11 +161,11 @@ def _threshold_rows(b: float | None, config: CliConfig) -> list[dict]:
     ]
 
 
-def _cmd_thresholds(args: argparse.Namespace, config: CliConfig) -> str:
-    rows = _threshold_rows(args.b, config)
-    if config.format == "json":
+def _cmd_thresholds(args: argparse.Namespace) -> str:
+    rows = _threshold_rows(args)
+    if args.format == "json":
         return _json_text(rows)
-    if config.format == "csv":
+    if args.format == "csv":
         lines = ["name,b,p0,z"]
         for row in rows:
             cells = [row["name"]] + [
@@ -196,17 +183,17 @@ def _cmd_thresholds(args: argparse.Namespace, config: CliConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_classify(args: argparse.Namespace, config: CliConfig) -> str:
-    params = config.series_params
+def _cmd_classify(args: argparse.Namespace) -> str:
+    params = _series_params(args)
     if args.mode == "paper":
-        report = classify_paper(args.p0, config.window)
+        report = classify_paper(args.p0, args.window)
     elif args.mode == "self":
-        report = classify_selfconsistent(args.p0, config.series, config.tolerance, params)
+        report = classify_selfconsistent(args.p0, args.series, args.tolerance, params)
     else:
-        report = classify_both(args.p0, config.window, config.series, config.tolerance, params)
-    if config.format == "json":
+        report = classify_both(args.p0, args.window, args.series, args.tolerance, params)
+    if args.format == "json":
         return _json_text(_report_record(report))
-    if config.format == "csv":
+    if args.format == "csv":
         return emit_csv([row_from_report(report)])
     record = _report_record(report)
     lines = []
@@ -220,7 +207,7 @@ def _cmd_classify(args: argparse.Namespace, config: CliConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_sweep(args: argparse.Namespace, config: CliConfig) -> str:
+def _cmd_sweep(args: argparse.Namespace) -> str:
     if args.p_max <= args.p_min:
         raise _UsageError(
             f"--p-max must exceed --p-min, got {args.p_min!r} and {args.p_max!r}"
@@ -232,17 +219,17 @@ def _cmd_sweep(args: argparse.Namespace, config: CliConfig) -> str:
         p_max=args.p_max,
         steps=args.steps,
         mode=args.mode,
-        series=config.series,
-        window=config.window,
-        tol=config.tolerance,
+        series=args.series,
+        window=args.window,
+        tol=args.tolerance,
     )
-    rows = run_sweep(spec, config.series_params)
-    if config.format == "json":
+    rows = run_sweep(spec, _series_params(args))
+    if args.format == "json":
         return emit_json(rows)
     return emit_csv(rows)
 
 
-def _cmd_occupation(args: argparse.Namespace, config: CliConfig) -> str:
+def _cmd_occupation(args: argparse.Namespace) -> str:
     if args.beta_eps_max <= args.beta_eps_min:
         raise _UsageError(
             f"--beta-eps-max must exceed --beta-eps-min, got "
@@ -253,9 +240,9 @@ def _cmd_occupation(args: argparse.Namespace, config: CliConfig) -> str:
     curve = occupation_curve(
         args.z, args.beta_eps_min, args.beta_eps_max, args.steps, args.branch
     )
-    if config.format == "json":
+    if args.format == "json":
         return _json_text([{"beta_eps": x, "occupation": n} for x, n in curve])
-    if config.format == "csv":
+    if args.format == "csv":
         lines = ["beta_eps,occupation"]
         lines.extend(f"{x!r},{n!r}" for x, n in curve)
         return "\n".join(lines) + "\n"
@@ -265,10 +252,10 @@ def _cmd_occupation(args: argparse.Namespace, config: CliConfig) -> str:
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float, default=None)
-    common.add_argument("--max-terms", type=int, default=None, dest="max_terms")
+    common.add_argument("--max-terms", type=int, default=100_000, dest="max_terms")
     common.add_argument("--window", type=float, default=None)
-    common.add_argument("--series", choices=("full", "truncated"), default=None)
-    common.add_argument("--format", choices=("text", "json", "csv"), default=None)
+    common.add_argument("--series", choices=SERIES_VARIANTS, default=None)
+    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", default=None)
 
     parser = _Parser(prog="qgas", description=__doc__.splitlines()[0])
@@ -285,14 +272,14 @@ def _build_parser() -> _Parser:
 
     p_classify = subparsers.add_parser("classify", parents=[common])
     p_classify.add_argument("--p0", type=float, required=True)
-    p_classify.add_argument("--mode", choices=("paper", "self", "both"), default="both")
+    p_classify.add_argument("--mode", choices=SWEEP_MODES, default="both")
     p_classify.set_defaults(handler=_cmd_classify)
 
     p_sweep = subparsers.add_parser("sweep", parents=[common])
     p_sweep.add_argument("--p-min", type=float, required=True, dest="p_min")
     p_sweep.add_argument("--p-max", type=float, required=True, dest="p_max")
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--mode", choices=("paper", "self", "both"), default="both")
+    p_sweep.add_argument("--mode", choices=SWEEP_MODES, default="both")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_occupation = subparsers.add_parser("occupation", parents=[common])
@@ -318,8 +305,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one invocation and return its exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        config = _resolve_config(args)
-        _write_output(args.handler(args, config), config.out)
+        _fill_settings(args)
+        _write_output(args.handler(args), args.out)
         return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -16,6 +16,11 @@ couplings strictly between e and the z = 1 endpoint value; couplings at
 or below e report no root on the dilution side (the shallow dip admits a
 pair of near-dilution solutions that the bracketing convention here
 deliberately does not chase).
+
+Phi(1) < 3.12 < H(1), so no coupling above the Bose window has a root on
+the Fermi side either: the self-consistent classifier reports such
+couplings as OutOfModelRange without solving Phi(z) = K.  solve_fermi
+solves the Fermi relation for callers that ask for it.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ class RegimeReport:
     coupling: float
     paper_label: RegimeLabel | None
     selfconsistent_label: RegimeLabel | None
-    branch: str  # "bose" | "fermi" | "none"
+    branch: str  # "bose" | "none": no classifier takes the Fermi branch (module notes)
     fugacity: FugacityPair | None
     flags: frozenset[str]
     labels_differ: bool | None = None
@@ -116,12 +121,14 @@ def coupling_from_momentum(p0: float) -> float:
     return COUPLING_CONSTANT / p0
 
 
+def _check_series(series: str) -> None:
+    if series not in SERIES_VARIANTS:
+        raise DomainError(f"unknown series variant {series!r}, expected one of {SERIES_VARIANTS}")
+
+
 def _fermi_series(z: float, series: str, params: SeriesParams) -> float:
-    if series == "full":
-        return fermi_f32_full(z, params)
-    if series == "truncated":
-        return fermi_f32_truncated(z)
-    raise DomainError(f"unknown series variant {series!r}, expected one of {SERIES_VARIANTS}")
+    _check_series(series)
+    return fermi_f32_full(z, params) if series == "full" else fermi_f32_truncated(z)
 
 
 def bose_constraint_lhs(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
@@ -221,7 +228,6 @@ def solve_fermi(
     is unique whenever it exists.
     """
     _checked_solver_args(coupling, tol)
-    _fermi_series(_BRACKET_LO, series, params)  # validate the variant name early
     return _bracketed_bisect(lambda z: fermi_residual(z, coupling, series, params), tol)
 
 
@@ -249,15 +255,12 @@ def condensation_fixed_point(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    lo, hi = _BRACKET_LO, 1.0
+    # The term cap grows with z, so evaluating the first midpoint before the
+    # bracket ends makes a TruncationError name that midpoint, not z = 1e-9.
+    bose_g32(0.5 * (_BRACKET_LO + 1.0), params)
     # g is strictly increasing with g(0+) = 0 and g(1) > 1: the root exists.
-    while hi - lo >= tol:
-        mid = 0.5 * (lo + hi)
-        if bose_g32(mid, params) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return FugacityPair.from_branch(0.5 * (lo + hi), "bose", params)
+    outcome = _bracketed_bisect(lambda z: bose_g32(z, params) - 1.0, tol)
+    return FugacityPair.from_branch(outcome.z, "bose", params)
 
 
 def _named_thresholds() -> tuple[float, float]:
@@ -315,19 +318,23 @@ def classify_selfconsistent(
     """Classify p0 by actually solving the self-consistency relation.
 
     A Bose root maps to Condensation (z' >= 1), NormalBose (tol < z' < 1)
-    or Dilution (z' <= tol, or coupling within tol of e).  Without a Bose
-    root, couplings above the Bose window try the Fermi relation:
-    AnomalousFermionic on success, OutOfModelRange (no_fermi_root) when
-    even the Fermi side cannot absorb the coupling.  Couplings below e map
-    to AboveDilution with the no_bose_root flag.
+    or Dilution (z' <= tol, or coupling within tol of e).  Couplings above
+    the Bose window map to OutOfModelRange with the no_fermi_root flag:
+    the Fermi relation cannot absorb them, because Phi(1) < 3.12 < H(1),
+    so this classifier never returns AnomalousFermionic.  Couplings below e
+    map to AboveDilution with the no_bose_root flag.  ``series`` names the
+    Fermi variant; it is validated but changes no label.
     """
     coupling = coupling_from_momentum(p0)
+    _check_series(series)
     flags: set[str] = set()
     bose = solve_bose(coupling, tol, params)
     if bose.found:
         pair = FugacityPair.from_branch(bose.z, "bose", params)
         if pair.z_prime >= 1.0:
             label = RegimeLabel.CONDENSATION
+        # Roots exist only for z > ~0.19, so z' <= tol decides the label
+        # only at a tolerance of order 1.
         elif pair.z_prime <= tol or abs(coupling - math.e) <= tol:
             label = RegimeLabel.DILUTION
         else:
@@ -337,16 +344,10 @@ def classify_selfconsistent(
         label = RegimeLabel.DILUTION
         branch, fugacity = "none", None
     elif bose.no_root_side == "above":
-        fermi = solve_fermi(coupling, series, tol, params)
-        if fermi.found:
-            variant = "fermi-full" if series == "full" else "fermi-truncated"
-            fugacity = FugacityPair.from_branch(fermi.z, variant, params)
-            label = RegimeLabel.ANOMALOUS_FERMIONIC
-            branch = "fermi"
-        else:
-            label = RegimeLabel.OUT_OF_MODEL_RANGE
-            flags.add(FLAG_NO_FERMI_ROOT)
-            branch, fugacity = "none", None
+        # Phi(1) < 3.12 < H(1): no Fermi root exists above the Bose window.
+        label = RegimeLabel.OUT_OF_MODEL_RANGE
+        flags.add(FLAG_NO_FERMI_ROOT)
+        branch, fugacity = "none", None
     else:
         label = RegimeLabel.ABOVE_DILUTION
         flags.add(FLAG_NO_BOSE_ROOT)

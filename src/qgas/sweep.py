@@ -8,7 +8,9 @@ from dataclasses import dataclass, fields
 from .errors import DomainError
 from .gas import occupation_bose, occupation_fermi
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams
-from .regime import FLAG_ORDER, RegimeReport, classify_both, classify_paper, classify_selfconsistent
+from .regime import (
+    FLAG_ORDER, SERIES_VARIANTS, RegimeReport, classify_both, classify_paper, classify_selfconsistent
+)
 
 SWEEP_MODES = ("paper", "self", "both")
 
@@ -36,7 +38,7 @@ class SweepSpec:
             raise DomainError(f"steps must be at least 2, got {self.steps!r}")
         if self.mode not in SWEEP_MODES:
             raise DomainError(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
-        if self.series not in ("full", "truncated"):
+        if self.series not in SERIES_VARIANTS:
             raise DomainError(f"series must be 'full' or 'truncated', got {self.series!r}")
         if not self.window > 0.0:
             raise DomainError(f"window must be positive, got {self.window!r}")
@@ -89,17 +91,20 @@ def row_from_report(report: RegimeReport) -> SweepRow:
     )
 
 
+def _inclusive_grid(lo: float, hi: float, steps: int):
+    """``steps`` evenly spaced points from ``lo``; the last lands exactly on ``hi``."""
+    span = hi - lo
+    for i in range(steps - 1):
+        yield lo + span * i / (steps - 1)
+    yield hi
+
+
 def run_sweep(
     spec: SweepSpec, params: SeriesParams = DEFAULT_SERIES_PARAMS
 ) -> list[SweepRow]:
     """Classify every point of the linear grid described by ``spec``."""
     rows: list[SweepRow] = []
-    span = spec.p_max - spec.p_min
-    for i in range(spec.steps):
-        if i == spec.steps - 1:
-            p0 = spec.p_max  # land exactly on the endpoint
-        else:
-            p0 = spec.p_min + span * i / (spec.steps - 1)
+    for p0 in _inclusive_grid(spec.p_min, spec.p_max, spec.steps):
         if spec.mode == "paper":
             report = classify_paper(p0, spec.window)
         elif spec.mode == "self":
@@ -171,9 +176,4 @@ def occupation_curve(
         occupation = occupation_fermi
     else:
         raise DomainError(f"branch must be 'bose' or 'fermi', got {branch!r}")
-    span = beta_eps_max - beta_eps_min
-    curve: list[tuple[float, float]] = []
-    for i in range(steps):
-        x = beta_eps_max if i == steps - 1 else beta_eps_min + span * i / (steps - 1)
-        curve.append((x, occupation(z, x)))
-    return curve
+    return [(x, occupation(z, x)) for x in _inclusive_grid(beta_eps_min, beta_eps_max, steps)]

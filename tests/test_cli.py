@@ -150,6 +150,12 @@ class TestClassify:
         code, _, _ = cli("classify", "--p0", "100", "--mode", "guess")
         assert code == EXIT_USAGE
 
+    def test_sub_ulp_tolerance_is_numeric(self, cli):
+        code, out, err = cli("classify", "--p0", "150", "--tolerance", "1e-17")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "numeric error" in err
+
 
 class TestSweep:
     def test_row_count(self, cli):

@@ -7,12 +7,16 @@ monotone picture.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qgas.errors import DomainError
+import qgas
+from qgas.errors import ConvergenceError, DomainError
 from qgas.polylog import SeriesParams, bose_g32
 from qgas.regime import (
     COUPLING_CONSTANT,
@@ -196,6 +200,12 @@ class TestSolveBose:
         with pytest.raises(DomainError):
             solve_bose(3.0, tol=bad)
 
+    def test_sub_ulp_tolerance_raises(self):
+        # Below the spacing of doubles the bracket stops shrinking, so the
+        # bisection cap ends the solve.
+        with pytest.raises(ConvergenceError):
+            solve_bose(4.0, tol=1e-17)
+
 
 class TestSolveFermi:
     def test_just_above_e(self):
@@ -285,6 +295,27 @@ class TestFixedPoint:
         with pytest.raises(DomainError):
             condensation_fixed_point(tol=0.0)
 
+    def test_sub_ulp_tolerance_ends(self):
+        # Once the bracket ends are adjacent doubles its width stops
+        # shrinking; the bisection cap must end the loop.  A subprocess with
+        # a timeout turns a hang into a failure.
+        probe = (
+            "from qgas.errors import ConvergenceError\n"
+            "from qgas.regime import condensation_fixed_point\n"
+            "try:\n"
+            "    print(repr(condensation_fixed_point(tol=1e-17).z_prime))\n"
+            "except ConvergenceError:\n"
+            "    print('ConvergenceError')\n"
+        )
+        src = os.path.dirname(os.path.dirname(qgas.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        out = done.stdout.strip()
+        assert out == "ConvergenceError" or abs(float(out) - 1.0) <= 1e-15
+
 
 class TestClassifyPaper:
     def test_dilution_point(self):
@@ -357,6 +388,17 @@ class TestClassifySelfconsistent:
         report = classify_selfconsistent(COUPLING_CONSTANT / math.e)
         assert report.selfconsistent_label is RegimeLabel.DILUTION
 
+    def test_dilution_by_order_one_tolerance(self):
+        # Roots lie at z > ~0.19, so z' <= tol labels a found root Dilution
+        # only at a tolerance of order 1: here the initial bracket is already
+        # narrower than tol, its midpoint is the root, and |K - e| = 1.68
+        # exceeds tol.
+        report = classify_selfconsistent(COUPLING_CONSTANT / 4.4, tol=1.5)
+        assert abs(report.coupling - math.e) > 1.5
+        assert report.selfconsistent_label is RegimeLabel.DILUTION
+        assert report.branch == "bose"
+        assert report.fugacity.z == pytest.approx(0.5000000005, abs=1e-12)
+
     def test_out_of_model_range(self):
         report = classify_selfconsistent(100.0)
         assert report.selfconsistent_label is RegimeLabel.OUT_OF_MODEL_RANGE
@@ -381,6 +423,13 @@ class TestClassifySelfconsistent:
     def test_series_switch_accepted(self):
         report = classify_selfconsistent(205.0, series="full")
         assert report.selfconsistent_label is RegimeLabel.NORMAL_BOSE
+
+    @pytest.mark.parametrize("classify", [classify_selfconsistent, classify_both])
+    @pytest.mark.parametrize("p0", [100.0, 150.0, 300.0])
+    def test_unknown_series_at_every_momentum(self, classify, p0):
+        # Out of range, inside the Bose window and below it alike.
+        with pytest.raises(DomainError):
+            classify(p0, series="bogus")
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -109,6 +109,14 @@ class TestRunSweep:
         spec = SweepSpec(p_min=50.0, p_max=400.0, steps=40)
         assert emit_csv(run_sweep(spec)) == emit_csv(run_sweep(spec))
 
+    def test_series_changes_no_classification(self):
+        # The Fermi variant is validated but never consulted: couplings
+        # above the Bose window are OutOfModelRange under either series.
+        full = emit_csv(run_sweep(SweepSpec(50.0, 400.0, 301, "both", "full")))
+        truncated = emit_csv(run_sweep(SweepSpec(50.0, 400.0, 301, "both", "truncated")))
+        assert full == truncated
+        assert ",OutOfModelRange," in full
+
 
 class TestEmitCsv:
     def test_empty(self):
