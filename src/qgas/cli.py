@@ -12,7 +12,6 @@ formats.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -28,8 +27,9 @@ from .polylog import SeriesParams, bose_g32, fermi_f32_full, fermi_f32_truncated
 from .regime import (
     B_CONDENSATION_NOMINAL,
     B_DILUTION_NOMINAL,
+    P_CONDENSATION_NOMINAL,
+    P_DILUTION_NOMINAL,
     SERIES_VARIANTS,
-    RegimeReport,
     classify_both,
     classify_paper,
     classify_selfconsistent,
@@ -38,7 +38,8 @@ from .regime import (
     threshold_dilution,
 )
 from .sweep import (
-    SWEEP_MODES, SweepSpec, emit_csv, emit_json, occupation_curve, row_from_report, run_sweep
+    SWEEP_MODES, SweepSpec, _csv_cell, _csv_table, _json_text, emit_csv, emit_json,
+    occupation_curve, row_from_report, run_sweep,
 )
 
 EXIT_OK = 0
@@ -103,16 +104,6 @@ def _series_params(args: argparse.Namespace) -> SeriesParams:
     return SeriesParams(tolerance=args.tolerance, max_terms=args.max_terms)
 
 
-def _report_record(report: RegimeReport) -> dict:
-    record = row_from_report(report).to_record()
-    record["labels_differ"] = report.labels_differ
-    return record
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _cmd_polylog(args: argparse.Namespace) -> str:
     params = _series_params(args)
     if args.kind == "bose":
@@ -124,7 +115,7 @@ def _cmd_polylog(args: argparse.Namespace) -> str:
     if args.format == "json":
         return _json_text({"kind": args.kind, "z": args.z, "value": value})
     if args.format == "csv":
-        return f"kind,z,value\n{args.kind},{args.z!r},{value!r}\n"
+        return _csv_table(("kind", "z", "value"), [(args.kind, args.z, value)])
     return f"{value!r}\n"
 
 
@@ -136,13 +127,13 @@ def _threshold_rows(args: argparse.Namespace) -> list[dict]:
             {
                 "name": "dilution",
                 "b": B_DILUTION_NOMINAL,
-                "p0": threshold_dilution(B_DILUTION_NOMINAL),
+                "p0": P_DILUTION_NOMINAL,
                 "z": None,
             },
             {
                 "name": "condensation",
                 "b": B_CONDENSATION_NOMINAL,
-                "p0": threshold_condensation(B_CONDENSATION_NOMINAL),
+                "p0": P_CONDENSATION_NOMINAL,
                 "z": None,
             },
             {
@@ -166,13 +157,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> str:
     if args.format == "json":
         return _json_text(rows)
     if args.format == "csv":
-        lines = ["name,b,p0,z"]
-        for row in rows:
-            cells = [row["name"]] + [
-                "" if row[key] is None else repr(row[key]) for key in ("b", "p0", "z")
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return _csv_table(rows[0].keys(), (row.values() for row in rows))
     lines = []
     for row in rows:
         parts = [f"{row['name']}: b={row['b']!r}"]
@@ -191,19 +176,19 @@ def _cmd_classify(args: argparse.Namespace) -> str:
         report = classify_selfconsistent(args.p0, args.series, args.tolerance, params)
     else:
         report = classify_both(args.p0, args.window, args.series, args.tolerance, params)
-    if args.format == "json":
-        return _json_text(_report_record(report))
+    row = row_from_report(report)
     if args.format == "csv":
-        return emit_csv([row_from_report(report)])
-    record = _report_record(report)
-    lines = []
-    for key in ("p0", "K", "paper_label", "selfconsistent_label", "branch", "z", "z_prime", "b"):
-        value = record[key]
-        if value is not None:
-            lines.append(f"{key}: {value!r}" if isinstance(value, float) else f"{key}: {value}")
-    lines.append("flags: " + ("|".join(record["flags"]) if record["flags"] else "-"))
-    if record["labels_differ"] is not None:
-        lines.append(f"labels_differ: {record['labels_differ']}")
+        return emit_csv([row])
+    if args.format == "json":
+        return _json_text({**row.to_record(), "labels_differ": report.labels_differ})
+    # One line per SweepRow field that has a value; "-" stands for no flags.
+    lines = [
+        f"{name}: {_csv_cell(value) or '-'}"
+        for name, value in vars(row).items()
+        if value is not None
+    ]
+    if report.labels_differ is not None:
+        lines.append(f"labels_differ: {report.labels_differ}")
     return "\n".join(lines) + "\n"
 
 
@@ -243,9 +228,7 @@ def _cmd_occupation(args: argparse.Namespace) -> str:
     if args.format == "json":
         return _json_text([{"beta_eps": x, "occupation": n} for x, n in curve])
     if args.format == "csv":
-        lines = ["beta_eps,occupation"]
-        lines.extend(f"{x!r},{n!r}" for x, n in curve)
-        return "\n".join(lines) + "\n"
+        return _csv_table(("beta_eps", "occupation"), curve)
     return "".join(f"{x!r} {n!r}\n" for x, n in curve)
 
 

@@ -245,6 +245,11 @@ def threshold_dilution(b: float) -> float:
     return COUPLING_CONSTANT / (math.e * b)
 
 
+# The two named threshold momenta, at the nominal b values.
+P_CONDENSATION_NOMINAL = threshold_condensation(B_CONDENSATION_NOMINAL)
+P_DILUTION_NOMINAL = threshold_dilution(B_DILUTION_NOMINAL)
+
+
 def condensation_fixed_point(
     params: SeriesParams = DEFAULT_SERIES_PARAMS, tol: float = 1e-12
 ) -> FugacityPair:
@@ -263,13 +268,6 @@ def condensation_fixed_point(
     return FugacityPair.from_branch(outcome.z, "bose", params)
 
 
-def _named_thresholds() -> tuple[float, float]:
-    return (
-        threshold_condensation(B_CONDENSATION_NOMINAL),
-        threshold_dilution(B_DILUTION_NOMINAL),
-    )
-
-
 def classify_paper(p0: float, window: float = 0.01) -> RegimeReport:
     """Classify p0 against the two named thresholds with a relative window.
 
@@ -283,7 +281,7 @@ def classify_paper(p0: float, window: float = 0.01) -> RegimeReport:
     coupling = coupling_from_momentum(p0)
     if not (math.isfinite(window) and window > 0.0):
         raise DomainError(f"window must be positive and finite, got {window!r}")
-    p_cond, p_dil = _named_thresholds()
+    p_cond, p_dil = P_CONDENSATION_NOMINAL, P_DILUTION_NOMINAL
     flags: set[str] = set()
     if abs(p0 - p_cond) <= window * p_cond:
         label = RegimeLabel.CONDENSATION

@@ -70,7 +70,6 @@ class SweepRow:
 # The CSV columns and JSON keys, in this order, are the fields of SweepRow;
 # flags comes last.
 _COLUMNS = tuple(f.name for f in fields(SweepRow))
-_CSV_HEADER = ",".join(_COLUMNS)
 
 
 def row_from_report(report: RegimeReport) -> SweepRow:
@@ -116,37 +115,39 @@ def run_sweep(
 
 
 def _csv_cell(value) -> str:
+    """The one CSV cell rule: None is empty, a float is its repr, flags join with '|'."""
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return "|".join(value)
     return str(value)
+
+
+def _csv_table(header, rows) -> str:
+    """Deterministic CSV of ``header`` and the cell sequences in ``rows``.
+
+    LF line ends and a trailing newline; no quoting, because no cell holds a
+    comma, a quote or a line break.
+    """
+    return "".join(",".join(map(_csv_cell, cells)) + "\n" for cells in (header, *rows))
+
+
+def _json_text(payload) -> str:
+    """Deterministic JSON: two-space indent, keys in insertion order, trailing newline."""
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def emit_csv(rows: list[SweepRow]) -> str:
     """Render rows as deterministic CSV (LF line ends, trailing newline)."""
-    lines = [_CSV_HEADER]
-    for row in rows:
-        # One cell per column of _CSV_HEADER, spelled out: direct attribute
-        # reads emit ~15% faster than a loop over _COLUMNS.
-        cells = [
-            _csv_cell(row.p0),
-            _csv_cell(row.K),
-            _csv_cell(row.paper_label),
-            _csv_cell(row.selfconsistent_label),
-            _csv_cell(row.branch),
-            _csv_cell(row.z),
-            _csv_cell(row.z_prime),
-            _csv_cell(row.b),
-            "|".join(row.flags),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    # vars() lists a dataclass's fields in declaration order, the order of _COLUMNS.
+    return _csv_table(_COLUMNS, (vars(row).values() for row in rows))
 
 
 def emit_json(rows: list[SweepRow]) -> str:
     """Render rows as a JSON array of objects in column order."""
-    return json.dumps([row.to_record() for row in rows], indent=2) + "\n"
+    return _json_text([row.to_record() for row in rows])
 
 
 def occupation_curve(
