@@ -89,7 +89,8 @@ def _fill_settings(args: argparse.Namespace) -> None:
     """Set tolerance, window and series from the flag, else the environment, else the default.
 
     Every variable is read, so a malformed one is a usage error even where
-    its flag is given.
+    its flag is given.  Every setting is then checked, whichever subcommand
+    runs, and the series controls are kept as ``args.params``.
     """
     for name, env_value, default in (
         ("tolerance", _env_float(_ENV_TOL), 1e-12),
@@ -98,18 +99,16 @@ def _fill_settings(args: argparse.Namespace) -> None:
     ):
         if getattr(args, name) is None:
             setattr(args, name, default if env_value is None else env_value)
-
-
-def _series_params(args: argparse.Namespace) -> SeriesParams:
-    return SeriesParams(tolerance=args.tolerance, max_terms=args.max_terms)
+    args.params = SeriesParams(tolerance=args.tolerance, max_terms=args.max_terms)
+    if not (math.isfinite(args.window) and args.window > 0.0):
+        raise DomainError(f"window must be positive and finite, got {args.window!r}")
 
 
 def _cmd_polylog(args: argparse.Namespace) -> str:
-    params = _series_params(args)
     if args.kind == "bose":
-        value = bose_g32(args.z, params)
+        value = bose_g32(args.z, args.params)
     elif args.kind == "fermi":
-        value = fermi_f32_full(args.z, params)
+        value = fermi_f32_full(args.z, args.params)
     else:
         value = fermi_f32_truncated(args.z)
     if args.format == "json":
@@ -122,7 +121,7 @@ def _cmd_polylog(args: argparse.Namespace) -> str:
 def _threshold_rows(args: argparse.Namespace) -> list[dict]:
     b = args.b
     if b is None:
-        fixed = condensation_fixed_point(_series_params(args))
+        fixed = condensation_fixed_point(args.params)
         return [
             {
                 "name": "dilution",
@@ -169,13 +168,12 @@ def _cmd_thresholds(args: argparse.Namespace) -> str:
 
 
 def _cmd_classify(args: argparse.Namespace) -> str:
-    params = _series_params(args)
     if args.mode == "paper":
         report = classify_paper(args.p0, args.window)
     elif args.mode == "self":
-        report = classify_selfconsistent(args.p0, args.series, args.tolerance, params)
+        report = classify_selfconsistent(args.p0, args.series, args.tolerance, args.params)
     else:
-        report = classify_both(args.p0, args.window, args.series, args.tolerance, params)
+        report = classify_both(args.p0, args.window, args.series, args.tolerance, args.params)
     row = row_from_report(report)
     if args.format == "csv":
         return emit_csv([row])
@@ -208,7 +206,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         window=args.window,
         tol=args.tolerance,
     )
-    rows = run_sweep(spec, _series_params(args))
+    rows = run_sweep(spec, args.params)
     if args.format == "json":
         return emit_json(rows)
     return emit_csv(rows)

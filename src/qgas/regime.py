@@ -118,7 +118,10 @@ def coupling_from_momentum(p0: float) -> float:
     """Coupling K = (4*pi)**2.5 / p0 for momentum p0 > 0."""
     if not (isinstance(p0, (int, float)) and math.isfinite(p0) and p0 > 0):
         raise DomainError(f"p0 must be positive and finite, got {p0!r}")
-    return COUPLING_CONSTANT / p0
+    coupling = COUPLING_CONSTANT / p0
+    if math.isinf(coupling):
+        raise DomainError(f"p0 is too small for a finite coupling (4*pi)**2.5 / p0, got {p0!r}")
+    return coupling
 
 
 def _check_series(series: str) -> None:
@@ -231,18 +234,29 @@ def solve_fermi(
     return _bracketed_bisect(lambda z: fermi_residual(z, coupling, series, params), tol)
 
 
+def _threshold_momentum(name: str, b: float, denominator: float) -> float:
+    # e*b overflows for b near the largest double, and the quotient overflows
+    # for a subnormal b: neither is a momentum.
+    p0 = COUPLING_CONSTANT / denominator
+    if not 0.0 < p0 < math.inf:
+        raise DomainError(
+            f"b is out of range for a finite positive {name} momentum (it gives {p0!r}), got {b!r}"
+        )
+    return p0
+
+
 def threshold_condensation(b: float) -> float:
     """Momentum (4*pi)**2.5 / (e*b - 1) below which condensation sets in."""
     if not (math.isfinite(b) and math.e * b - 1.0 > 0.0):
         raise DomainError(f"b must satisfy e*b > 1, got {b!r}")
-    return COUPLING_CONSTANT / (math.e * b - 1.0)
+    return _threshold_momentum("condensation", b, math.e * b - 1.0)
 
 
 def threshold_dilution(b: float) -> float:
     """Momentum (4*pi)**2.5 / (e*b) above which the gas is effectively dilute."""
     if not (math.isfinite(b) and b > 0.0):
         raise DomainError(f"b must be positive and finite, got {b!r}")
-    return COUPLING_CONSTANT / (math.e * b)
+    return _threshold_momentum("dilution", b, math.e * b)
 
 
 # The two named threshold momenta, at the nominal b values.

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 from .errors import DomainError
 from .gas import occupation_bose, occupation_fermi
@@ -30,12 +32,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.p_min > 0.0:
             raise DomainError(f"p_min must be positive, got {self.p_min!r}")
-        if not self.p_max > self.p_min:
-            raise DomainError(
-                f"p_max must exceed p_min, got p_min={self.p_min!r} p_max={self.p_max!r}"
-            )
-        if self.steps < 2:
-            raise DomainError(f"steps must be at least 2, got {self.steps!r}")
+        _check_grid(self.p_min, self.p_max, self.steps, "p_min", "p_max")
         if self.mode not in SWEEP_MODES:
             raise DomainError(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
         if self.series not in SERIES_VARIANTS:
@@ -88,6 +85,19 @@ def row_from_report(report: RegimeReport) -> SweepRow:
         b=pair.b if pair else None,
         flags=tuple(f for f in FLAG_ORDER if f in report.flags),
     )
+
+
+def _check_grid(lo: float, hi: float, steps: int, lo_name: str, hi_name: str) -> None:
+    """Refuse grid bounds and counts from which no finite grid can be built."""
+    if not (isinstance(steps, Integral) and steps >= 2):
+        raise DomainError(f"steps must be an integer of at least 2, got {steps!r}")
+    for name, value in ((lo_name, lo), (hi_name, hi)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+    if not hi > lo:
+        raise DomainError(f"{hi_name} must exceed {lo_name}, got {lo_name}={lo!r} {hi_name}={hi!r}")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"{hi_name} - {lo_name} overflows, got {lo_name}={lo!r} {hi_name}={hi!r}")
 
 
 def _inclusive_grid(lo: float, hi: float, steps: int):
@@ -164,13 +174,7 @@ def occupation_curve(
     Bose branch a singular grid point (z = 1, beta_eps = 0) raises
     SingularityError just as the point evaluation does.
     """
-    if steps < 2:
-        raise DomainError(f"steps must be at least 2, got {steps!r}")
-    if not beta_eps_max > beta_eps_min:
-        raise DomainError(
-            f"beta_eps_max must exceed beta_eps_min, got "
-            f"{beta_eps_min!r} and {beta_eps_max!r}"
-        )
+    _check_grid(beta_eps_min, beta_eps_max, steps, "beta_eps_min", "beta_eps_max")
     if branch == "bose":
         occupation = occupation_bose
     elif branch == "fermi":

@@ -6,7 +6,19 @@ import math
 import pytest
 
 from qgas.cli import EXIT_DOMAIN, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from qgas.polylog import ZETA_3_2
+from qgas.gas import occupation_bose
+from qgas.polylog import ZETA_3_2, bose_g32, fermi_f32_full, fermi_f32_truncated
+from qgas.regime import (
+    classify_both,
+    classify_paper,
+    condensation_fixed_point,
+    threshold_condensation,
+    threshold_dilution,
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @pytest.fixture()
@@ -200,6 +212,11 @@ class TestSweep:
         code, _, _ = cli("sweep", "--p-min", "-10", "--p-max", "300", "--steps", "5")
         assert code == EXIT_DOMAIN
 
+    def test_infinite_maximum_is_domain(self, cli):
+        code, out, err = cli("sweep", "--p-min", "50", "--p-max", "inf", "--steps", "3")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "p_max must be finite" in err
+
     def test_out_file(self, cli, tmp_path):
         target = tmp_path / "rows.csv"
         code, out, _ = cli(
@@ -259,6 +276,157 @@ class TestOccupation:
         assert code == EXIT_OK
         assert lines[0] == "beta_eps,occupation"
         assert len(lines) == 4
+
+
+class TestOutputBytes:
+    """Exact stdout of every subcommand and format.
+
+    Expected floats come from the library through repr, so these pin the
+    headers, separators, empty cells, float repr, '|'-joined flags, JSON
+    layout and trailing newline, not the last digit of libm.
+    """
+
+    @pytest.mark.parametrize(
+        "kind,function", [("bose", bose_g32), ("fermi", fermi_f32_full), ("fermi3", fermi_f32_truncated)]
+    )
+    def test_polylog(self, cli, kind, function):
+        v = function(0.5)
+        expected = {
+            "text": f"{v!r}\n",
+            "json": f'{{\n  "kind": "{kind}",\n  "z": 0.5,\n  "value": {v!r}\n}}\n',
+            "csv": f"kind,z,value\n{kind},0.5,{v!r}\n",
+        }
+        for fmt, text in expected.items():
+            assert cli("polylog", "--kind", kind, "--z", "0.5", "--format", fmt) == (EXIT_OK, text, "")
+
+    def test_thresholds_nominal(self, cli):
+        p_dil, p_cond = threshold_dilution(1.0), threshold_condensation(1.4)
+        fixed = condensation_fixed_point()
+        p_self = threshold_condensation(fixed.b)
+        expected = {
+            "text": (
+                f"dilution: b=1.0 p0={p_dil!r}\n"
+                f"condensation: b=1.4 p0={p_cond!r}\n"
+                f"condensation-selfconsistent: b={fixed.b!r} p0={p_self!r} z={fixed.z!r}\n"
+            ),
+            "json": (
+                "[\n"
+                f'  {{\n    "name": "dilution",\n    "b": 1.0,\n    "p0": {p_dil!r},\n    "z": null\n  }},\n'
+                f'  {{\n    "name": "condensation",\n    "b": 1.4,\n    "p0": {p_cond!r},\n'
+                '    "z": null\n  },\n'
+                f'  {{\n    "name": "condensation-selfconsistent",\n    "b": {fixed.b!r},\n'
+                f'    "p0": {p_self!r},\n    "z": {fixed.z!r}\n  }}\n'
+                "]\n"
+            ),
+            "csv": (
+                "name,b,p0,z\n"
+                f"dilution,1.0,{p_dil!r},\n"
+                f"condensation,1.4,{p_cond!r},\n"
+                f"condensation-selfconsistent,{fixed.b!r},{p_self!r},{fixed.z!r}\n"
+            ),
+        }
+        for fmt, text in expected.items():
+            assert cli("thresholds", "--format", fmt) == (EXIT_OK, text, "")
+
+    def test_thresholds_without_condensation(self, cli):
+        p_dil = threshold_dilution(0.3)
+        expected = {
+            "text": f"dilution: b=0.3 p0={p_dil!r}\ncondensation: b=0.3 p0=undefined\n",
+            "json": (
+                "[\n"
+                f'  {{\n    "name": "dilution",\n    "b": 0.3,\n    "p0": {p_dil!r},\n    "z": null\n  }},\n'
+                '  {\n    "name": "condensation",\n    "b": 0.3,\n    "p0": null,\n    "z": null\n  }\n'
+                "]\n"
+            ),
+            "csv": f"name,b,p0,z\ndilution,0.3,{p_dil!r},\ncondensation,0.3,,\n",
+        }
+        for fmt, text in expected.items():
+            assert cli("thresholds", "--b", "0.3", "--format", fmt) == (EXIT_OK, text, "")
+
+    def test_classify_two_flags(self, cli):
+        r = classify_both(199.53)
+        k, pair = r.coupling, r.fugacity
+        expected = {
+            "text": (
+                f"p0: 199.53\nK: {k!r}\npaper_label: Condensation\nselfconsistent_label: NormalBose\n"
+                f"branch: bose\nz: {pair.z!r}\nz_prime: {pair.z_prime!r}\nb: {pair.b!r}\n"
+                "flags: overlaps_fermionic_range|near_threshold\nlabels_differ: True\n"
+            ),
+            "json": (
+                f'{{\n  "p0": 199.53,\n  "K": {k!r},\n  "paper_label": "Condensation",\n'
+                '  "selfconsistent_label": "NormalBose",\n  "branch": "bose",\n'
+                f'  "z": {pair.z!r},\n  "z_prime": {pair.z_prime!r},\n  "b": {pair.b!r},\n'
+                '  "flags": [\n    "overlaps_fermionic_range",\n    "near_threshold"\n  ],\n'
+                '  "labels_differ": true\n}\n'
+            ),
+            "csv": (
+                "p0,K,paper_label,selfconsistent_label,branch,z,z_prime,b,flags\n"
+                f"199.53,{k!r},Condensation,NormalBose,bose,{pair.z!r},{pair.z_prime!r},{pair.b!r},"
+                "overlaps_fermionic_range|near_threshold\n"
+            ),
+        }
+        for fmt, text in expected.items():
+            assert cli("classify", "--p0", "199.53", "--format", fmt) == (EXIT_OK, text, "")
+
+    def test_classify_empty_cells(self, cli):
+        k = classify_paper(300.0).coupling
+        expected = {
+            "text": f"p0: 300.0\nK: {k!r}\npaper_label: AboveDilution\nflags: -\n",
+            "json": (
+                f'{{\n  "p0": 300.0,\n  "K": {k!r},\n  "paper_label": "AboveDilution",\n'
+                '  "selfconsistent_label": null,\n  "branch": null,\n  "z": null,\n'
+                '  "z_prime": null,\n  "b": null,\n  "flags": [],\n  "labels_differ": null\n}\n'
+            ),
+            "csv": (
+                "p0,K,paper_label,selfconsistent_label,branch,z,z_prime,b,flags\n"
+                f"300.0,{k!r},AboveDilution,,,,,,\n"
+            ),
+        }
+        for fmt, text in expected.items():
+            assert cli("classify", "--p0", "300", "--mode", "paper", "--format", fmt) == (
+                EXIT_OK, text, ""
+            )
+
+    def test_occupation(self, cli):
+        n1, n2 = occupation_bose(0.5, 1.0), occupation_bose(0.5, 2.0)
+        expected = {
+            "text": f"0.0 1.0\n1.0 {n1!r}\n2.0 {n2!r}\n",
+            "json": (
+                '[\n  {\n    "beta_eps": 0.0,\n    "occupation": 1.0\n  },\n'
+                f'  {{\n    "beta_eps": 1.0,\n    "occupation": {n1!r}\n  }},\n'
+                f'  {{\n    "beta_eps": 2.0,\n    "occupation": {n2!r}\n  }}\n]\n'
+            ),
+            "csv": f"beta_eps,occupation\n0.0,1.0\n1.0,{n1!r}\n2.0,{n2!r}\n",
+        }
+        argv = ("occupation", "--z", "0.5", "--beta-eps-min", "0", "--beta-eps-max", "2", "--steps", "3")
+        for fmt, text in expected.items():
+            assert cli(*argv, "--format", fmt) == (EXIT_OK, text, "")
+
+    def test_sweep(self, cli):
+        first, last = classify_both(199.53), classify_both(300.0)
+        k1, pair, k2 = first.coupling, first.fugacity, last.coupling
+        csv = (
+            "p0,K,paper_label,selfconsistent_label,branch,z,z_prime,b,flags\n"
+            f"199.53,{k1!r},Condensation,NormalBose,bose,{pair.z!r},{pair.z_prime!r},{pair.b!r},"
+            "overlaps_fermionic_range|near_threshold\n"
+            f"300.0,{k2!r},AboveDilution,AboveDilution,,,,,no_bose_root\n"
+        )
+        expected = {
+            "text": csv,
+            "csv": csv,
+            "json": (
+                f'[\n  {{\n    "p0": 199.53,\n    "K": {k1!r},\n    "paper_label": "Condensation",\n'
+                '    "selfconsistent_label": "NormalBose",\n    "branch": "bose",\n'
+                f'    "z": {pair.z!r},\n    "z_prime": {pair.z_prime!r},\n    "b": {pair.b!r},\n'
+                '    "flags": [\n      "overlaps_fermionic_range",\n      "near_threshold"\n    ]\n  },\n'
+                f'  {{\n    "p0": 300.0,\n    "K": {k2!r},\n    "paper_label": "AboveDilution",\n'
+                '    "selfconsistent_label": "AboveDilution",\n    "branch": null,\n    "z": null,\n'
+                '    "z_prime": null,\n    "b": null,\n    "flags": [\n      "no_bose_root"\n    ]\n  }\n]\n'
+            ),
+        }
+        argv = ("sweep", "--p-min", "199.53", "--p-max", "300", "--steps", "2")
+        for fmt, text in expected.items():
+            assert cli(*argv, "--format", fmt) == (EXIT_OK, text, "")
 
 
 class TestEnvironment:
@@ -327,12 +495,33 @@ class TestContract:
     def test_every_subcommand_emits_valid_json(self, cli, argv):
         code, out, _ = cli(*argv, "--format", "json")
         assert code == EXIT_OK
-        json.loads(out)
+        json.loads(out, parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--p0", "1e-320", "--mode", "paper", "--format", "json"),
+            ("thresholds", "--b", "1e-310", "--format", "json"),
+            ("thresholds", "--b", "1e308"),
+        ],
+    )
+    def test_overflowing_momentum_is_domain(self, cli, argv):
+        code, out, err = cli(*argv)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "domain error" in err
 
     def test_nonnumeric_flag_value_is_usage(self, cli):
         code, _, _ = cli("classify", "--p0", "many")
         assert code == EXIT_USAGE
 
     def test_domain_error_for_bad_tolerance_value(self, cli):
-        code, _, _ = cli("polylog", "--kind", "bose", "--z", "0.5", "--tolerance", "-1")
-        assert code == EXIT_DOMAIN
+        # Every global setting is checked, whether or not the subcommand uses it.
+        for argv in (
+            ("polylog", "--kind", "bose", "--z", "0.5", "--tolerance", "-1"),
+            ("classify", "--p0", "150", "--mode", "self", "--window", "-1"),
+            ("occupation", "--z", "0.5", "--beta-eps-min", "0", "--beta-eps-max", "1",
+             "--steps", "3", "--tolerance", "-1"),
+            ("thresholds", "--b", "1.2", "--max-terms", "0"),
+        ):
+            code, out, _ = cli(*argv)
+            assert (code, out) == (EXIT_DOMAIN, ""), argv

@@ -8,6 +8,7 @@ monotone picture.
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -73,6 +74,11 @@ class TestCoupling:
     def test_domain(self, p0):
         with pytest.raises(DomainError):
             coupling_from_momentum(p0)
+
+    def test_subnormal_momentum_overflows(self):
+        # (4*pi)**2.5 / 1e-320 is inf: refused, naming p0.
+        with pytest.raises(DomainError, match=r"^p0 .*got 1e-320$"):
+            coupling_from_momentum(1e-320)
 
 
 class TestConstraintCurves:
@@ -278,6 +284,18 @@ class TestThresholds:
     def test_dilution_domain(self, b):
         with pytest.raises(DomainError):
             threshold_dilution(b)
+
+    @pytest.mark.parametrize(
+        "threshold,b",
+        [
+            (threshold_dilution, 1e-310),  # the quotient overflows to inf
+            (threshold_dilution, 1e308),  # e*b overflows, so the quotient is 0.0
+            (threshold_condensation, 1e308),
+        ],
+    )
+    def test_no_infinite_or_zero_momentum(self, threshold, b):
+        with pytest.raises(DomainError, match=rf"^b .*got {re.escape(repr(b))}$"):
+            threshold(b)
 
 
 class TestFixedPoint:

@@ -70,6 +70,17 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"p_min": 50.0, "p_max": math.inf, "steps": 3}, "p_max"),
+            ({"p_min": 100.0, "p_max": 200.0, "steps": 3.0}, "steps"),
+        ],
+    )
+    def test_unbuildable_grid_names_the_argument(self, kwargs, name):
+        with pytest.raises(DomainError, match=rf"^{name} "):
+            SweepSpec(**kwargs)
+
 
 class TestRunSweep:
     def test_paper_mode_labels(self):
@@ -235,3 +246,16 @@ class TestOccupationCurve:
         base.update(kwargs)
         with pytest.raises(DomainError):
             occupation_curve(**base)
+
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            ((0.5, 0.0, math.inf, 3), "beta_eps_max"),
+            # Finite bounds whose difference overflows.
+            ((0.5, -1e308, 1e308, 3, "fermi"), "beta_eps_max - beta_eps_min"),
+            ((0.5, 0.0, 1.0, 2.5), "steps"),
+        ],
+    )
+    def test_unbuildable_grid_names_the_argument(self, args, name):
+        with pytest.raises(DomainError, match=rf"^{name} "):
+            occupation_curve(*args)
