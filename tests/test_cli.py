@@ -287,7 +287,8 @@ class TestOutputBytes:
     """
 
     @pytest.mark.parametrize(
-        "kind,function", [("bose", bose_g32), ("fermi", fermi_f32_full), ("fermi3", fermi_f32_truncated)]
+        "kind,function",
+        [("bose", bose_g32), ("fermi", fermi_f32_full), ("fermi3", fermi_f32_truncated)],
     )
     def test_polylog(self, cli, kind, function):
         v = function(0.5)
@@ -297,7 +298,8 @@ class TestOutputBytes:
             "csv": f"kind,z,value\n{kind},0.5,{v!r}\n",
         }
         for fmt, text in expected.items():
-            assert cli("polylog", "--kind", kind, "--z", "0.5", "--format", fmt) == (EXIT_OK, text, "")
+            out = cli("polylog", "--kind", kind, "--z", "0.5", "--format", fmt)
+            assert out == (EXIT_OK, text, "")
 
     def test_thresholds_nominal(self, cli):
         p_dil, p_cond = threshold_dilution(1.0), threshold_condensation(1.4)
@@ -311,7 +313,8 @@ class TestOutputBytes:
             ),
             "json": (
                 "[\n"
-                f'  {{\n    "name": "dilution",\n    "b": 1.0,\n    "p0": {p_dil!r},\n    "z": null\n  }},\n'
+                f'  {{\n    "name": "dilution",\n    "b": 1.0,\n    "p0": {p_dil!r},\n'
+                '    "z": null\n  },\n'
                 f'  {{\n    "name": "condensation",\n    "b": 1.4,\n    "p0": {p_cond!r},\n'
                 '    "z": null\n  },\n'
                 f'  {{\n    "name": "condensation-selfconsistent",\n    "b": {fixed.b!r},\n'
@@ -334,8 +337,10 @@ class TestOutputBytes:
             "text": f"dilution: b=0.3 p0={p_dil!r}\ncondensation: b=0.3 p0=undefined\n",
             "json": (
                 "[\n"
-                f'  {{\n    "name": "dilution",\n    "b": 0.3,\n    "p0": {p_dil!r},\n    "z": null\n  }},\n'
-                '  {\n    "name": "condensation",\n    "b": 0.3,\n    "p0": null,\n    "z": null\n  }\n'
+                f'  {{\n    "name": "dilution",\n    "b": 0.3,\n    "p0": {p_dil!r},\n'
+                '    "z": null\n  },\n'
+                '  {\n    "name": "condensation",\n    "b": 0.3,\n    "p0": null,\n'
+                '    "z": null\n  }\n'
                 "]\n"
             ),
             "csv": f"name,b,p0,z\ndilution,0.3,{p_dil!r},\ncondensation,0.3,,\n",
@@ -348,7 +353,8 @@ class TestOutputBytes:
         k, pair = r.coupling, r.fugacity
         expected = {
             "text": (
-                f"p0: 199.53\nK: {k!r}\npaper_label: Condensation\nselfconsistent_label: NormalBose\n"
+                f"p0: 199.53\nK: {k!r}\npaper_label: Condensation\n"
+                "selfconsistent_label: NormalBose\n"
                 f"branch: bose\nz: {pair.z!r}\nz_prime: {pair.z_prime!r}\nb: {pair.b!r}\n"
                 "flags: overlaps_fermionic_range|near_threshold\nlabels_differ: True\n"
             ),
@@ -398,7 +404,9 @@ class TestOutputBytes:
             ),
             "csv": f"beta_eps,occupation\n0.0,1.0\n1.0,{n1!r}\n2.0,{n2!r}\n",
         }
-        argv = ("occupation", "--z", "0.5", "--beta-eps-min", "0", "--beta-eps-max", "2", "--steps", "3")
+        argv = (
+            "occupation", "--z", "0.5", "--beta-eps-min", "0", "--beta-eps-max", "2", "--steps", "3"
+        )
         for fmt, text in expected.items():
             assert cli(*argv, "--format", fmt) == (EXIT_OK, text, "")
 
@@ -415,13 +423,16 @@ class TestOutputBytes:
             "text": csv,
             "csv": csv,
             "json": (
-                f'[\n  {{\n    "p0": 199.53,\n    "K": {k1!r},\n    "paper_label": "Condensation",\n'
+                f'[\n  {{\n    "p0": 199.53,\n    "K": {k1!r},\n'
+                '    "paper_label": "Condensation",\n'
                 '    "selfconsistent_label": "NormalBose",\n    "branch": "bose",\n'
                 f'    "z": {pair.z!r},\n    "z_prime": {pair.z_prime!r},\n    "b": {pair.b!r},\n'
-                '    "flags": [\n      "overlaps_fermionic_range",\n      "near_threshold"\n    ]\n  },\n'
+                '    "flags": [\n      "overlaps_fermionic_range",\n      "near_threshold"\n'
+                '    ]\n  },\n'
                 f'  {{\n    "p0": 300.0,\n    "K": {k2!r},\n    "paper_label": "AboveDilution",\n'
-                '    "selfconsistent_label": "AboveDilution",\n    "branch": null,\n    "z": null,\n'
-                '    "z_prime": null,\n    "b": null,\n    "flags": [\n      "no_bose_root"\n    ]\n  }\n]\n'
+                '    "selfconsistent_label": "AboveDilution",\n    "branch": null,\n'
+                '    "z": null,\n    "z_prime": null,\n    "b": null,\n'
+                '    "flags": [\n      "no_bose_root"\n    ]\n  }\n]\n'
             ),
         }
         argv = ("sweep", "--p-min", "199.53", "--p-max", "300", "--steps", "2")
