@@ -32,7 +32,7 @@ class TruncationError(QgasError, ArithmeticError):
 
 
 class QuadratureError(QgasError, ArithmeticError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
+    """The exp-sinh quadrature failed its step-halving accuracy check."""
 
 
 class ConvergenceError(QgasError, ArithmeticError):

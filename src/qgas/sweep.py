@@ -37,10 +37,10 @@ class SweepSpec:
             raise DomainError(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
         if self.series not in SERIES_VARIANTS:
             raise DomainError(f"series must be 'full' or 'truncated', got {self.series!r}")
-        if not self.window > 0.0:
-            raise DomainError(f"window must be positive, got {self.window!r}")
-        if not self.tol > 0.0:
-            raise DomainError(f"tol must be positive, got {self.tol!r}")
+        if not (math.isfinite(self.window) and self.window > 0.0):
+            raise DomainError(f"window must be positive and finite, got {self.window!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise DomainError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

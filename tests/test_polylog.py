@@ -202,11 +202,15 @@ def test_relative_error_against_mpmath(z):
         g_ref = mpmath.re(mpmath.polylog(1.5, z))
         f_ref = -mpmath.re(mpmath.polylog(1.5, -z))
         assert abs(bose_g32(z) - g_ref) <= 1e-14 * g_ref
+        assert abs(bose_g32_quadrature(z) - g_ref) <= 1e-14 * g_ref
         assert abs(fermi_f32_full(z) - f_ref) <= 1e-14 * f_ref
 
 
 def test_import_loads_neither_numpy_nor_scipy():
-    probe = "import sys, qgas; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    probe = (
+        "import sys, qgas; qgas.bose_g32_quadrature(0.5); "
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    )
     src = os.path.dirname(os.path.dirname(qgas.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(

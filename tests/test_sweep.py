@@ -64,6 +64,8 @@ class TestSweepSpec:
             {"p_min": 1.0, "p_max": 10.0, "steps": 3, "series": "cubic"},
             {"p_min": 1.0, "p_max": 10.0, "steps": 3, "window": 0.0},
             {"p_min": 1.0, "p_max": 10.0, "steps": 3, "tol": -1e-9},
+            {"p_min": 100.0, "p_max": 200.0, "steps": 3, "window": math.inf},
+            {"p_min": 100.0, "p_max": 200.0, "steps": 3, "tol": math.inf},
         ],
     )
     def test_validation(self, kwargs):
