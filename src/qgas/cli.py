@@ -22,6 +22,7 @@ from .errors import (
     QuadratureError,
     SingularityError,
     TruncationError,
+    _require_positive,
 )
 from .polylog import SeriesParams, bose_g32, fermi_f32_full, fermi_f32_truncated
 from .regime import (
@@ -30,15 +31,12 @@ from .regime import (
     P_CONDENSATION_NOMINAL,
     P_DILUTION_NOMINAL,
     SERIES_VARIANTS,
-    classify_both,
-    classify_paper,
-    classify_selfconsistent,
     condensation_fixed_point,
     threshold_condensation,
     threshold_dilution,
 )
 from .sweep import (
-    SWEEP_MODES, SweepSpec, _csv_cell, _csv_table, _json_text, emit_csv, emit_json,
+    SWEEP_MODES, SweepSpec, _classify, _csv_cell, _csv_table, _json_text, emit_csv, emit_json,
     occupation_curve, row_from_report, run_sweep,
 )
 
@@ -100,8 +98,7 @@ def _fill_settings(args: argparse.Namespace) -> None:
         if getattr(args, name) is None:
             setattr(args, name, default if env_value is None else env_value)
     args.params = SeriesParams(tolerance=args.tolerance, max_terms=args.max_terms)
-    if not (math.isfinite(args.window) and args.window > 0.0):
-        raise DomainError(f"window must be positive and finite, got {args.window!r}")
+    _require_positive(args.window, "window")
 
 
 def _cmd_polylog(args: argparse.Namespace) -> str:
@@ -142,8 +139,7 @@ def _threshold_rows(args: argparse.Namespace) -> list[dict]:
                 "z": fixed.z,
             },
         ]
-    if not (math.isfinite(b) and b > 0.0):
-        raise DomainError(f"b must be positive and finite, got {b!r}")
+    _require_positive(b, "b")
     condensation = threshold_condensation(b) if math.e * b > 1.0 else None
     return [
         {"name": "dilution", "b": b, "p0": threshold_dilution(b), "z": None},
@@ -168,12 +164,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> str:
 
 
 def _cmd_classify(args: argparse.Namespace) -> str:
-    if args.mode == "paper":
-        report = classify_paper(args.p0, args.window)
-    elif args.mode == "self":
-        report = classify_selfconsistent(args.p0, args.series, args.tolerance, args.params)
-    else:
-        report = classify_both(args.p0, args.window, args.series, args.tolerance, args.params)
+    report = _classify(args.p0, args.mode, args.window, args.series, args.tolerance, args.params)
     row = row_from_report(report)
     if args.format == "csv":
         return emit_csv([row])

@@ -5,6 +5,8 @@ The hierarchy mirrors how callers need to react: domain violations
 failures (series truncation, quadrature, root bracketing).
 """
 
+import math
+
 
 class QgasError(Exception):
     """Base class for all package errors."""
@@ -37,3 +39,9 @@ class QuadratureError(QgasError, ArithmeticError):
 
 class ConvergenceError(QgasError, ArithmeticError):
     """A bracketing solver found a sign change but not a root within its iteration cap."""
+
+
+def _require_positive(value: float, name: str) -> None:
+    """Raise DomainError unless ``value`` is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")

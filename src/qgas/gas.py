@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, _require_positive
 from .polylog import (
     DEFAULT_SERIES_PARAMS,
     SeriesParams,
@@ -29,8 +29,7 @@ def _positive(value: float, name: str) -> float:
         value = float(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be a real number, got {value!r}") from exc
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    _require_positive(value, name)
     return value
 
 
@@ -74,8 +73,7 @@ class FugacityPair:
             raise DomainError(f"z must be nonnegative and finite, got {self.z!r}")
         if not (math.isfinite(self.z_prime) and self.z_prime >= 0.0):
             raise DomainError(f"z_prime must be nonnegative and finite, got {self.z_prime!r}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise DomainError(f"b must be positive and finite, got {self.b!r}")
+        _require_positive(self.b, "b")
         if self.z > 0.0 and abs(self.z_prime - self.z * self.b) > 1e-12 * max(1.0, self.z_prime):
             raise DomainError(
                 f"inconsistent pair: z_prime={self.z_prime!r} != z*b={self.z * self.b!r}"
@@ -86,8 +84,6 @@ class FugacityPair:
         cls, z: float, branch: str, params: SeriesParams = DEFAULT_SERIES_PARAMS
     ) -> "FugacityPair":
         """Build the pair by evaluating the branch series at z (z > 0)."""
-        if z == 0.0:
-            raise DomainError("b is undefined at z = 0 (the z -> 0 limit is 1)")
         z_prime = _branch_series(z, branch, params)
         return cls(z=z, z_prime=z_prime, b=z_prime / z)
 
@@ -186,6 +182,8 @@ def reduced_fugacity(thermal_wavelength: float, specific_volume: float) -> float
 
 
 def _branch_series(z: float, branch: str, params: SeriesParams) -> float:
+    if z == 0.0:
+        raise DomainError("b is undefined at z = 0 (the z -> 0 limit is 1)")
     if branch == "bose":
         return bose_g32(z, params)
     if branch == "fermi-full":
@@ -202,8 +200,6 @@ def b_factor(z: float, branch: str = "bose", params: SeriesParams = DEFAULT_SERI
     the Fermi branches it runs from 1 down to the branch value at z = 1.
     Undefined at z = 0 (the limit is 1 on every branch).
     """
-    if z == 0.0:
-        raise DomainError("b is undefined at z = 0 (the z -> 0 limit is 1)")
     return _branch_series(z, branch, params) / z
 
 

@@ -135,8 +135,10 @@ def _check_term_cap(z: float, params: SeriesParams, alternating: bool) -> None:
     if z > 0.999:
         return
     m = params.max_terms
-    # exp(-1.5 * log(m)) rather than m ** -1.5, which overflows for m > 1e308.
-    last_term = z ** m * math.exp(-1.5 * math.log(m))
+    # z ** m converts m to a float, which overflows for m >= 2**1024, and so
+    # does m ** -1.5.  z ** 2**20 is already 0.0 for z <= 0.999.  A
+    # conditional, not min(): this runs on every evaluation.
+    last_term = z ** (m if m < 2**20 else 2**20) * math.exp(-1.5 * math.log(m))
     if last_term < params.tolerance:
         return
     sign = -1.0 if alternating else 1.0

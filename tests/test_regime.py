@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import qgas
 from qgas.errors import ConvergenceError, DomainError
+from qgas.gas import FugacityPair, NaturalUnits, mono_energetic_state
 from qgas.polylog import SeriesParams, bose_g32
 from qgas.regime import (
     COUPLING_CONSTANT,
@@ -40,6 +41,7 @@ from qgas.regime import (
     threshold_condensation,
     threshold_dilution,
 )
+from qgas.sweep import SweepSpec
 
 # Frozen references (40-digit arithmetic, rounded to double).
 H_AT_1 = 4.488797090760637  # (e - 1) * zeta(3/2)
@@ -522,3 +524,29 @@ def test_solver_respects_custom_params():
     loose = SeriesParams(tolerance=1e-8, max_terms=10_000)
     outcome = solve_bose(2.8911, params=loose)
     assert outcome.z == pytest.approx(0.6986, abs=1e-3)
+
+
+# Every entry point that refuses a value by the one positive-and-finite
+# rule, with the argument name its message carries.
+POSITIVE_ARGUMENTS = {
+    "solve_bose-coupling": ("coupling", solve_bose),
+    "solve_bose-tol": ("tol", lambda v: solve_bose(3.0, v)),
+    "solve_fermi-tol": ("tol", lambda v: solve_fermi(2.8, tol=v)),
+    "threshold_dilution": ("b", threshold_dilution),
+    "condensation_fixed_point": ("tol", lambda v: condensation_fixed_point(tol=v)),
+    "classify_paper": ("window", lambda v: classify_paper(150.0, v)),
+    "SweepSpec-window": ("window", lambda v: SweepSpec(100.0, 200.0, 3, window=v)),
+    "SweepSpec-tol": ("tol", lambda v: SweepSpec(100.0, 200.0, 3, tol=v)),
+    "FugacityPair": ("b", lambda v: FugacityPair(z=0.0, z_prime=0.0, b=v)),
+    "NaturalUnits": ("hbar", lambda v: NaturalUnits(hbar=v)),
+    "mono_energetic_state": ("p0", mono_energetic_state),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", POSITIVE_ARGUMENTS)
+def test_positive_and_finite_refusal(entry, value):
+    name, call = POSITIVE_ARGUMENTS[entry]
+    with pytest.raises(DomainError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be positive and finite, got {value!r}"
