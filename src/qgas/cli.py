@@ -55,11 +55,19 @@ class _UsageError(Exception):
     """Raised for malformed invocations; mapped to exit code 1."""
 
 
+class _HelpShown(Exception):
+    """Raised once --help has printed; mapped to exit code 0."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage, which collides with the
     # domain-error code; reroute through the usage exception instead.
     def error(self, message: str):  # noqa: D102 - argparse override
         raise _UsageError(message)
+
+    # With error rerouted, only --help calls exit; main returns instead.
+    def exit(self, status: int = 0, message: str | None = None):  # noqa: D102
+        raise _HelpShown
 
 
 def _env_float(name: str) -> float | None:
@@ -91,14 +99,29 @@ def _fill_settings(args: argparse.Namespace) -> None:
     runs, and the series controls are kept as ``args.params``.
     """
     for name, env_value, default in (
-        ("tolerance", _env_float(_ENV_TOL), 1e-12),
-        ("window", _env_float(_ENV_WINDOW), 0.01),
-        ("series", _env_series(), "truncated"),
+        ("tolerance", _env_float(_ENV_TOL), SeriesParams.tolerance),
+        ("window", _env_float(_ENV_WINDOW), SweepSpec.window),
+        ("series", _env_series(), SweepSpec.series),
     ):
         if getattr(args, name) is None:
             setattr(args, name, default if env_value is None else env_value)
     args.params = SeriesParams(tolerance=args.tolerance, max_terms=args.max_terms)
     _require_positive(args.window, "window")
+
+
+# The columns of each table, in order: CSV header and JSON keys alike.
+_POLYLOG_COLUMNS = ("kind", "z", "value")
+_THRESHOLD_COLUMNS = ("name", "b", "p0", "z")
+_OCCUPATION_COLUMNS = ("beta_eps", "occupation")
+
+
+def _table_text(fmt: str, columns: tuple[str, ...], rows: list[tuple], text: str) -> str:
+    """``rows`` as a JSON array of objects keyed by ``columns``, as CSV, or else ``text``."""
+    if fmt == "json":
+        return _json_text([dict(zip(columns, row)) for row in rows])
+    if fmt == "csv":
+        return _csv_table(columns, rows)
+    return text
 
 
 def _cmd_polylog(args: argparse.Namespace) -> str:
@@ -108,59 +131,35 @@ def _cmd_polylog(args: argparse.Namespace) -> str:
         value = fermi_f32_full(args.z, args.params)
     else:
         value = fermi_f32_truncated(args.z)
+    row = (args.kind, args.z, value)
     if args.format == "json":
-        return _json_text({"kind": args.kind, "z": args.z, "value": value})
-    if args.format == "csv":
-        return _csv_table(("kind", "z", "value"), [(args.kind, args.z, value)])
-    return f"{value!r}\n"
+        return _json_text(dict(zip(_POLYLOG_COLUMNS, row)))
+    return _table_text(args.format, _POLYLOG_COLUMNS, [row], f"{value!r}\n")
 
 
-def _threshold_rows(args: argparse.Namespace) -> list[dict]:
+def _threshold_rows(args: argparse.Namespace) -> list[tuple]:
     b = args.b
     if b is None:
         fixed = condensation_fixed_point(args.params)
         return [
-            {
-                "name": "dilution",
-                "b": B_DILUTION_NOMINAL,
-                "p0": P_DILUTION_NOMINAL,
-                "z": None,
-            },
-            {
-                "name": "condensation",
-                "b": B_CONDENSATION_NOMINAL,
-                "p0": P_CONDENSATION_NOMINAL,
-                "z": None,
-            },
-            {
-                "name": "condensation-selfconsistent",
-                "b": fixed.b,
-                "p0": threshold_condensation(fixed.b),
-                "z": fixed.z,
-            },
+            ("dilution", B_DILUTION_NOMINAL, P_DILUTION_NOMINAL, None),
+            ("condensation", B_CONDENSATION_NOMINAL, P_CONDENSATION_NOMINAL, None),
+            ("condensation-selfconsistent", fixed.b, threshold_condensation(fixed.b), fixed.z),
         ]
     _require_positive(b, "b")
+    # Condensation first: for a b where both refuse, its message is the one shown.
     condensation = threshold_condensation(b) if math.e * b > 1.0 else None
-    return [
-        {"name": "dilution", "b": b, "p0": threshold_dilution(b), "z": None},
-        {"name": "condensation", "b": b, "p0": condensation, "z": None},
-    ]
+    return [("dilution", b, threshold_dilution(b), None), ("condensation", b, condensation, None)]
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> str:
     rows = _threshold_rows(args)
-    if args.format == "json":
-        return _json_text(rows)
-    if args.format == "csv":
-        return _csv_table(rows[0].keys(), (row.values() for row in rows))
-    lines = []
-    for row in rows:
-        parts = [f"{row['name']}: b={row['b']!r}"]
-        parts.append("p0=undefined" if row["p0"] is None else f"p0={row['p0']!r}")
-        if row["z"] is not None:
-            parts.append(f"z={row['z']!r}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    text = "".join(
+        f"{name}: b={b!r} p0={'undefined' if p0 is None else repr(p0)}"
+        + ("" if z is None else f" z={z!r}") + "\n"
+        for name, b, p0, z in rows
+    )
+    return _table_text(args.format, _THRESHOLD_COLUMNS, rows, text)
 
 
 def _cmd_classify(args: argparse.Namespace) -> str:
@@ -181,13 +180,18 @@ def _cmd_classify(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_grid_usage(
+    lo_flag: str, lo: float, hi_flag: str, hi: float, steps: int, note: str = ""
+) -> None:
+    """Refuse bounds that do not ascend and fewer than 2 steps; nan and inf go to the library."""
+    if hi <= lo:
+        raise _UsageError(f"{hi_flag} must exceed {lo_flag}, got {lo!r} and {hi!r}{note}")
+    if steps < 2:
+        raise _UsageError(f"--steps must be at least 2, got {steps!r}")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    if args.p_max <= args.p_min:
-        raise _UsageError(
-            f"--p-max must exceed --p-min, got {args.p_min!r} and {args.p_max!r}"
-        )
-    if args.steps < 2:
-        raise _UsageError(f"--steps must be at least 2, got {args.steps!r}")
+    _check_grid_usage("--p-min", args.p_min, "--p-max", args.p_max, args.steps)
     spec = SweepSpec(
         p_min=args.p_min,
         p_max=args.p_max,
@@ -204,27 +208,21 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_occupation(args: argparse.Namespace) -> str:
-    if args.beta_eps_max <= args.beta_eps_min:
-        raise _UsageError(
-            f"--beta-eps-max must exceed --beta-eps-min, got "
-            f"{args.beta_eps_min!r} and {args.beta_eps_max!r} (degenerate range)"
-        )
-    if args.steps < 2:
-        raise _UsageError(f"--steps must be at least 2, got {args.steps!r}")
+    _check_grid_usage(
+        "--beta-eps-min", args.beta_eps_min, "--beta-eps-max", args.beta_eps_max, args.steps,
+        " (degenerate range)",
+    )
     curve = occupation_curve(
         args.z, args.beta_eps_min, args.beta_eps_max, args.steps, args.branch
     )
-    if args.format == "json":
-        return _json_text([{"beta_eps": x, "occupation": n} for x, n in curve])
-    if args.format == "csv":
-        return _csv_table(("beta_eps", "occupation"), curve)
-    return "".join(f"{x!r} {n!r}\n" for x, n in curve)
+    text = "".join(f"{x!r} {n!r}\n" for x, n in curve)
+    return _table_text(args.format, _OCCUPATION_COLUMNS, curve, text)
 
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float, default=None)
-    common.add_argument("--max-terms", type=int, default=100_000, dest="max_terms")
+    common.add_argument("--max-terms", type=int, default=SeriesParams.max_terms, dest="max_terms")
     common.add_argument("--window", type=float, default=None)
     common.add_argument("--series", choices=SERIES_VARIANTS, default=None)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -279,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         _fill_settings(args)
         _write_output(args.handler(args), args.out)
+        return EXIT_OK
+    except _HelpShown:
         return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from .errors import DomainError, SingularityError, _require_positive
 from .polylog import (
     DEFAULT_SERIES_PARAMS,
     SeriesParams,
+    _checked_z,
     bose_g32,
     fermi_f32_full,
     fermi_f32_truncated,
@@ -33,6 +34,12 @@ def _positive(value: float, name: str) -> float:
     return value
 
 
+def _set_positive(instance, *names: str) -> None:
+    """Check each named field of a frozen dataclass and store it as a float."""
+    for name in names:
+        object.__setattr__(instance, name, _positive(getattr(instance, name), name))
+
+
 @dataclass(frozen=True)
 class NaturalUnits:
     """Unit system carried through the dimensional formulas."""
@@ -42,9 +49,7 @@ class NaturalUnits:
     k: float = 1.0
 
     def __post_init__(self):
-        _positive(self.hbar, "hbar")
-        _positive(self.m, "m")
-        _positive(self.k, "k")
+        _set_positive(self, "hbar", "m", "k")
 
 
 DEFAULT_UNITS = NaturalUnits()
@@ -97,9 +102,7 @@ class NormalizationScenario:
     specific_volume: float
 
     def __post_init__(self):
-        _positive(self.total_count, "total_count")
-        _positive(self.volume, "volume")
-        _positive(self.specific_volume, "specific_volume")
+        _set_positive(self, "total_count", "volume", "specific_volume")
         if abs(self.specific_volume * self.total_count - self.volume) > 1e-12 * self.volume:
             raise DomainError(
                 "inconsistent scenario: specific_volume * total_count must equal volume"
@@ -119,8 +122,7 @@ def occupation_bose(z: float, beta_eps: float) -> float:
     is a genuine singularity (macroscopic ground-state occupation) and
     raises rather than returning an infinity.
     """
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"z must lie in [0, 1], got {z!r}")
+    z = _checked_z(z)
     if not (math.isfinite(beta_eps) and beta_eps >= 0.0):
         raise DomainError(f"beta_eps must be nonnegative and finite, got {beta_eps!r}")
     if z == 0.0:

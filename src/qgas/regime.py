@@ -30,14 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConvergenceError, DomainError, _require_positive
-from .gas import FugacityPair
-from .polylog import (
-    DEFAULT_SERIES_PARAMS,
-    SeriesParams,
-    bose_g32,
-    fermi_f32_full,
-    fermi_f32_truncated,
-)
+from .gas import FugacityPair, _branch_series
+from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams, bose_g32
 
 # (4*pi)**2.5, the numerator of the coupling K = (4*pi)**2.5 / p0.
 COUPLING_CONSTANT = 32.0 * math.pi ** 2.5
@@ -110,7 +104,6 @@ class RegimeReport:
     selfconsistent_label: RegimeLabel | None
     fugacity: FugacityPair | None
     flags: frozenset[str]
-    labels_differ: bool | None = None
 
     @property
     def branch(self) -> str:
@@ -119,6 +112,13 @@ class RegimeReport:
         No classifier takes the Fermi branch (module notes).
         """
         return "bose" if self.fugacity is not None else "none"
+
+    @property
+    def labels_differ(self) -> bool | None:
+        """Whether the two labels differ; ``None`` unless both are set."""
+        if self.paper_label is None or self.selfconsistent_label is None:
+            return None
+        return self.paper_label != self.selfconsistent_label
 
 
 def coupling_from_momentum(p0: float) -> float:
@@ -134,11 +134,6 @@ def coupling_from_momentum(p0: float) -> float:
 def _check_series(series: str) -> None:
     if series not in SERIES_VARIANTS:
         raise DomainError(f"unknown series variant {series!r}, expected one of {SERIES_VARIANTS}")
-
-
-def _fermi_series(z: float, series: str, params: SeriesParams) -> float:
-    _check_series(series)
-    return fermi_f32_full(z, params) if series == "full" else fermi_f32_truncated(z)
 
 
 def bose_constraint_lhs(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
@@ -157,7 +152,8 @@ def fermi_constraint_lhs(
     """Phi(z) = e*f(z)/z + f(z), the Fermi side of the normalization relation."""
     if not 0.0 < z <= 1.0:
         raise DomainError(f"z must lie in (0, 1], got {z!r}")
-    f = _fermi_series(z, series, params)
+    _check_series(series)
+    f = _branch_series(z, f"fermi-{series}", params)
     return math.e * f / z + f
 
 
@@ -200,7 +196,7 @@ def _bracketed_bisect(residual, tol: float) -> SolveOutcome:
         if (r_mid > 0.0) == (r_hi > 0.0):
             hi, r_hi = mid, r_mid
         else:
-            lo, r_lo = mid, r_mid
+            lo = mid
     raise ConvergenceError(
         f"bisection did not reach width {tol!r} within {_MAX_BISECTIONS} iterations"
     )
@@ -392,5 +388,4 @@ def classify_both(
         selfconsistent_label=selfc.selfconsistent_label,
         fugacity=selfc.fugacity,
         flags=paper.flags | selfc.flags | ({FLAG_NEAR_THRESHOLD} if differ else set()),
-        labels_differ=differ,
     )

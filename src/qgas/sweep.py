@@ -11,7 +11,7 @@ from .errors import DomainError, _require_positive
 from .gas import occupation_bose, occupation_fermi
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams
 from .regime import (
-    FLAG_ORDER, SERIES_VARIANTS, RegimeReport, classify_both, classify_paper, classify_selfconsistent
+    FLAG_ORDER, RegimeReport, _check_series, classify_both, classify_paper, classify_selfconsistent
 )
 
 SWEEP_MODES = ("paper", "self", "both")
@@ -35,8 +35,7 @@ class SweepSpec:
         _check_grid(self.p_min, self.p_max, self.steps, "p_min", "p_max")
         if self.mode not in SWEEP_MODES:
             raise DomainError(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
-        if self.series not in SERIES_VARIANTS:
-            raise DomainError(f"series must be 'full' or 'truncated', got {self.series!r}")
+        _check_series(self.series)
         _require_positive(self.window, "window")
         _require_positive(self.tol, "tol")
 

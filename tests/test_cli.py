@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import qgas
 
 from qgas.cli import EXIT_DOMAIN, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from qgas.gas import occupation_bose
@@ -268,6 +273,14 @@ class TestOccupation:
             "--beta-eps-min", "0", "--beta-eps-max", "0", "--steps", "2",
         )
         assert code == EXIT_USAGE
+
+    def test_single_step_is_usage(self, cli):
+        code, out, err = cli(
+            "occupation", "--z", "0.5", "--beta-eps-min", "0", "--beta-eps-max", "1",
+            "--steps", "1",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: --steps must be at least 2, got 1\n"
 
     def test_nan_maximum_is_domain(self, cli):
         code, out, err = cli(
@@ -539,6 +552,28 @@ class TestContract:
         code, out, err = cli(*argv)
         assert (code, out) == (EXIT_DOMAIN, "")
         assert "domain error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [(), ("polylog",), ("thresholds",), ("classify",), ("sweep",), ("occupation",)],
+        ids=lambda argv: " ".join(("qgas", *argv)),
+    )
+    def test_help_returns_zero(self, cli, argv):
+        # main returns the exit code for --help too; argparse would raise SystemExit.
+        code, out, err = cli(*argv, "--help")
+        assert code == EXIT_OK
+        assert out.startswith("usage: qgas")
+        assert err == ""
+
+    def test_help_process_exits_zero(self):
+        src = os.path.dirname(os.path.dirname(qgas.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "qgas", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert done.stdout.startswith("usage: qgas")
 
     def test_nonnumeric_flag_value_is_usage(self, cli):
         code, _, _ = cli("classify", "--p0", "many")

@@ -51,6 +51,11 @@ class TestOccupationBose:
         with pytest.raises(DomainError):
             occupation_bose(z, 1.0)
 
+    def test_non_number_z_is_domain(self):
+        # The same fugacity rule as bose_g32.
+        with pytest.raises(DomainError, match=r"^z must be a real number, got 'abc'$"):
+            occupation_bose("abc", 1.0)
+
     @pytest.mark.parametrize("beta_eps", [-1e-9, -3.0, math.nan, math.inf])
     def test_domain_beta_eps(self, beta_eps):
         with pytest.raises(DomainError):
@@ -120,6 +125,10 @@ class TestMonoEnergeticState:
     def test_domain(self, p0):
         with pytest.raises(DomainError):
             mono_energetic_state(p0)
+
+    def test_non_number_is_domain(self):
+        with pytest.raises(DomainError, match=r"^p0 must be a real number, got 'abc'$"):
+            mono_energetic_state("abc")
 
     @given(p0=momenta)
     def test_wavelength_consistency(self, p0):
@@ -239,6 +248,10 @@ class TestFugacityPair:
         with pytest.raises(DomainError):
             FugacityPair(z=-0.1, z_prime=0.1, b=1.0)
 
+    def test_negative_z_prime_rejected(self):
+        with pytest.raises(DomainError, match=r"^z_prime must be nonnegative and finite"):
+            FugacityPair(z=0.5, z_prime=-0.1, b=1.0)
+
 
 class TestNormalizationScenario:
     def test_from_totals(self):
@@ -253,12 +266,26 @@ class TestNormalizationScenario:
         with pytest.raises(DomainError):
             NormalizationScenario.from_totals(total_count=0.0, volume=5.0)
 
+    def test_stores_checked_floats(self):
+        scenario = NormalizationScenario(total_count="10", volume=5.0, specific_volume=0.5)
+        assert vars(scenario) == {"total_count": 10.0, "volume": 5.0, "specific_volume": 0.5}
+        assert isinstance(scenario.total_count, float)
+
 
 def test_units_validation():
     with pytest.raises(DomainError):
         NaturalUnits(hbar=0.0)
     with pytest.raises(DomainError):
         NaturalUnits(m=-1.0)
+
+
+def test_units_store_checked_floats():
+    units = NaturalUnits(hbar="2")
+    assert units.hbar == 2.0
+    assert isinstance(units.hbar, float)
+    assert mono_energetic_state(10.0, units).thermal_wavelength == pytest.approx(
+        math.sqrt(4.0 * math.pi) * 2.0 / 10.0, rel=1e-15
+    )
 
 
 def test_state_is_plain_data():

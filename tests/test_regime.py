@@ -22,6 +22,7 @@ from qgas.gas import FugacityPair, NaturalUnits, mono_energetic_state
 from qgas.polylog import SeriesParams, bose_g32
 from qgas.regime import (
     COUPLING_CONSTANT,
+    RegimeReport,
     FLAG_NEAR_THRESHOLD,
     FLAG_NO_BOSE_ROOT,
     FLAG_NO_FERMI_ROOT,
@@ -193,6 +194,10 @@ class TestSolveBose:
     def test_above_window(self):
         outcome = solve_bose(5.6)
         assert outcome.no_root_side == "above"
+
+    def test_root_at_lower_bracket_end(self):
+        # The residual is exactly zero at the lower end, which is returned as is.
+        assert solve_bose(bose_constraint_lhs(1e-9)).z == 1e-9
 
     @pytest.mark.parametrize("z", [0.3, 0.5, 0.7, 0.9, 1.0])
     def test_round_trip_past_dip(self, z):
@@ -419,6 +424,13 @@ class TestClassifySelfconsistent:
         assert report.branch == "bose"
         assert report.fugacity.z == pytest.approx(0.5000000005, abs=1e-12)
 
+    def test_dilution_without_root(self):
+        # K sits just below e, where H has no bracketed root, but within tol of e.
+        report = classify_selfconsistent(COUPLING_CONSTANT / (math.e - 5e-11), tol=1e-10)
+        assert report.selfconsistent_label is RegimeLabel.DILUTION
+        assert report.flags == frozenset()
+        assert report.fugacity is None
+
     def test_out_of_model_range(self):
         report = classify_selfconsistent(100.0)
         assert report.selfconsistent_label is RegimeLabel.OUT_OF_MODEL_RANGE
@@ -488,6 +500,17 @@ class TestClassifyBoth:
         assert report.paper_label is RegimeLabel.ANOMALOUS_FERMIONIC
         assert report.selfconsistent_label is RegimeLabel.OUT_OF_MODEL_RANGE
         assert report.labels_differ is True
+
+    def test_labels_differ_is_derived(self):
+        # None unless both labels are set; never a constructor argument.
+        assert classify_paper(205.93).labels_differ is None
+        assert classify_selfconsistent(205.93).labels_differ is None
+        report = classify_paper(205.93)
+        with pytest.raises(TypeError):
+            RegimeReport(
+                momentum=report.momentum, coupling=report.coupling, paper_label=None,
+                selfconsistent_label=None, fugacity=None, flags=frozenset(), labels_differ=True,
+            )
 
 
 @pytest.mark.parametrize("coupling", [2.75, 2.8911, 3.2, 4.0, 4.4])

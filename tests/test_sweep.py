@@ -72,6 +72,10 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec(**kwargs)
 
+    def test_unknown_series_uses_the_classifier_wording(self):
+        with pytest.raises(DomainError, match=r"^unknown series variant 'cubic', expected one of"):
+            SweepSpec(p_min=1.0, p_max=10.0, steps=3, series="cubic")
+
     @pytest.mark.parametrize(
         "kwargs,name",
         [
