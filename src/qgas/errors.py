@@ -41,7 +41,23 @@ class ConvergenceError(QgasError, ArithmeticError):
     """A bracketing solver found a sign change but not a root within its iteration cap."""
 
 
-def _require_positive(value: float, name: str) -> None:
-    """Raise DomainError unless ``value`` is positive and finite."""
+def _real(value, name: str) -> float:
+    """``value`` as a float; DomainError when it is not a real number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a real number, got {value!r}") from exc
+
+
+def _require_positive(value, name: str) -> float:
+    """``value`` as a float; DomainError unless it is positive and finite."""
+    value = _real(value, name)
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def _set_positive(instance, *names: str) -> None:
+    """Check each named field of a frozen dataclass and store it as a float."""
+    for name in names:
+        object.__setattr__(instance, name, _require_positive(getattr(instance, name), name))

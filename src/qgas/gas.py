@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularityError, _require_positive
+from .errors import DomainError, SingularityError, _real, _require_positive, _set_positive
 from .polylog import (
     DEFAULT_SERIES_PARAMS,
     SeriesParams,
@@ -25,19 +25,21 @@ from .polylog import (
 BRANCHES = ("bose", "fermi-full", "fermi-truncated")
 
 
-def _positive(value: float, name: str) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a real number, got {value!r}") from exc
-    _require_positive(value, name)
+def _nonnegative(value: float, name: str) -> float:
+    """``value`` as a float; DomainError unless it is nonnegative and finite."""
+    value = _real(value, name)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DomainError(f"{name} must be nonnegative and finite, got {value!r}")
     return value
 
 
-def _set_positive(instance, *names: str) -> None:
-    """Check each named field of a frozen dataclass and store it as a float."""
-    for name in names:
-        object.__setattr__(instance, name, _positive(getattr(instance, name), name))
+def _derived(name: str, compute) -> float:
+    """The quantity ``compute()`` returns; DomainError unless it is positive and finite."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):  # a power overflowed, or a divisor underflowed to 0
+        value = math.inf
+    return _require_positive(value, name)
 
 
 @dataclass(frozen=True)
@@ -74,11 +76,9 @@ class FugacityPair:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.z) and self.z >= 0.0):
-            raise DomainError(f"z must be nonnegative and finite, got {self.z!r}")
-        if not (math.isfinite(self.z_prime) and self.z_prime >= 0.0):
-            raise DomainError(f"z_prime must be nonnegative and finite, got {self.z_prime!r}")
-        _require_positive(self.b, "b")
+        for name in ("z", "z_prime"):
+            object.__setattr__(self, name, _nonnegative(getattr(self, name), name))
+        _set_positive(self, "b")
         if self.z > 0.0 and abs(self.z_prime - self.z * self.b) > 1e-12 * max(1.0, self.z_prime):
             raise DomainError(
                 f"inconsistent pair: z_prime={self.z_prime!r} != z*b={self.z * self.b!r}"
@@ -89,6 +89,7 @@ class FugacityPair:
         cls, z: float, branch: str, params: SeriesParams = DEFAULT_SERIES_PARAMS
     ) -> "FugacityPair":
         """Build the pair by evaluating the branch series at z (z > 0)."""
+        z = _real(z, "z")
         z_prime = _branch_series(z, branch, params)
         return cls(z=z, z_prime=z_prime, b=z_prime / z)
 
@@ -110,8 +111,8 @@ class NormalizationScenario:
 
     @classmethod
     def from_totals(cls, total_count: float, volume: float) -> "NormalizationScenario":
-        total_count = _positive(total_count, "total_count")
-        volume = _positive(volume, "volume")
+        total_count = _require_positive(total_count, "total_count")
+        volume = _require_positive(volume, "volume")
         return cls(total_count=total_count, volume=volume, specific_volume=volume / total_count)
 
 
@@ -123,8 +124,7 @@ def occupation_bose(z: float, beta_eps: float) -> float:
     raises rather than returning an infinity.
     """
     z = _checked_z(z)
-    if not (math.isfinite(beta_eps) and beta_eps >= 0.0):
-        raise DomainError(f"beta_eps must be nonnegative and finite, got {beta_eps!r}")
+    beta_eps = _nonnegative(beta_eps, "beta_eps")
     if z == 0.0:
         return 0.0
     # 1/(exp(beta_eps)/z - 1) = 1/expm1(beta_eps - ln z); expm1 keeps full
@@ -146,8 +146,8 @@ def occupation_fermi(z: float, beta_eps: float) -> float:
 
     z may exceed 1 on this branch and beta_eps may be negative.
     """
-    if not (math.isfinite(z) and z >= 0.0):
-        raise DomainError(f"z must be nonnegative and finite, got {z!r}")
+    z = _nonnegative(z, "z")
+    beta_eps = _real(beta_eps, "beta_eps")
     if not math.isfinite(beta_eps):
         raise DomainError(f"beta_eps must be finite, got {beta_eps!r}")
     if z == 0.0:
@@ -165,9 +165,9 @@ def mono_energetic_state(p0: float, units: NaturalUnits = DEFAULT_UNITS) -> Mono
     kT = p0**2/(2m) and lambda = sqrt(4*pi)*hbar/p0; beta*eps is exactly 1
     by construction.
     """
-    p0 = _positive(p0, "p0")
-    temperature = p0 * p0 / (2.0 * units.m * units.k)
-    wavelength = math.sqrt(4.0 * math.pi) * units.hbar / p0
+    p0 = _require_positive(p0, "p0")
+    temperature = _derived("temperature", lambda: p0 * p0 / (2.0 * units.m * units.k))
+    wavelength = _derived("thermal_wavelength", lambda: math.sqrt(4.0 * math.pi) * units.hbar / p0)
     return MonoEnergeticState(
         momentum=p0,
         temperature=temperature,
@@ -178,9 +178,9 @@ def mono_energetic_state(p0: float, units: NaturalUnits = DEFAULT_UNITS) -> Mono
 
 def reduced_fugacity(thermal_wavelength: float, specific_volume: float) -> float:
     """Degeneracy ratio z' = lambda**3 / v."""
-    thermal_wavelength = _positive(thermal_wavelength, "thermal_wavelength")
-    specific_volume = _positive(specific_volume, "specific_volume")
-    return thermal_wavelength ** 3 / specific_volume
+    thermal_wavelength = _require_positive(thermal_wavelength, "thermal_wavelength")
+    specific_volume = _require_positive(specific_volume, "specific_volume")
+    return _derived("z_prime", lambda: thermal_wavelength ** 3 / specific_volume)
 
 
 def _branch_series(z: float, branch: str, params: SeriesParams) -> float:
@@ -202,7 +202,7 @@ def b_factor(z: float, branch: str = "bose", params: SeriesParams = DEFAULT_SERI
     the Fermi branches it runs from 1 down to the branch value at z = 1.
     Undefined at z = 0 (the limit is 1 on every branch).
     """
-    return _branch_series(z, branch, params) / z
+    return FugacityPair.from_branch(z, branch, params).b
 
 
 def specific_volume_from_constraint(
@@ -214,9 +214,9 @@ def specific_volume_from_constraint(
     v = (e/z - 1) * hbar**3 / (4*pi*p0**2).  Valid for 0 < z < e, where the
     occupation is positive.
     """
-    p0 = _positive(p0, "p0")
-    z = _positive(z, "z")
+    p0 = _require_positive(p0, "p0")
+    z = _require_positive(z, "z")
     factor = math.e / z - 1.0
     if factor <= 0.0:
         raise DomainError(f"z must be below e for a positive occupation, got {z!r}")
-    return factor * units.hbar ** 3 / (4.0 * math.pi * p0 * p0)
+    return _derived("specific_volume", lambda: factor * units.hbar ** 3 / (4.0 * math.pi * p0 * p0))

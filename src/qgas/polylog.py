@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, QuadratureError, TruncationError
+from .errors import DomainError, QuadratureError, TruncationError, _real
 
 # Value of the Bose series at z = 1 (Riemann zeta at 3/2), the supremum of
 # bose_g32 on [0, 1].
@@ -151,13 +151,10 @@ def _check_term_cap(z: float, params: SeriesParams, alternating: bool) -> None:
     )
 
 
-def _checked_z(z: float, name: str = "z") -> float:
-    try:
-        z = float(z)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a real number, got {z!r}") from exc
+def _checked_z(z: float) -> float:
+    z = _real(z, "z")
     if not 0.0 <= z <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {z!r}")
+        raise DomainError(f"z must lie in [0, 1], got {z!r}")
     return z
 
 

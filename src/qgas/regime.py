@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConvergenceError, DomainError, _require_positive
+from .errors import ConvergenceError, DomainError, _real, _require_positive
 from .gas import FugacityPair, _branch_series
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams, bose_g32
 
@@ -211,8 +211,8 @@ def solve_bose(
     shallow dip of H below e).  Couplings at or below e return no-root
     "below"; couplings above H(1) return no-root "above".
     """
-    _require_positive(coupling, "coupling")
-    _require_positive(tol, "tol")
+    coupling = _require_positive(coupling, "coupling")
+    tol = _require_positive(tol, "tol")
     return _bracketed_bisect(lambda z: bose_residual(z, coupling, params), tol)
 
 
@@ -227,8 +227,8 @@ def solve_fermi(
     Phi increases strictly from e to its z = 1 endpoint value, so the root
     is unique whenever it exists.
     """
-    _require_positive(coupling, "coupling")
-    _require_positive(tol, "tol")
+    coupling = _require_positive(coupling, "coupling")
+    tol = _require_positive(tol, "tol")
     return _bracketed_bisect(lambda z: fermi_residual(z, coupling, series, params), tol)
 
 
@@ -245,6 +245,7 @@ def _threshold_momentum(name: str, b: float, denominator: float) -> float:
 
 def threshold_condensation(b: float) -> float:
     """Momentum (4*pi)**2.5 / (e*b - 1) below which condensation sets in."""
+    b = _real(b, "b")
     if not (math.isfinite(b) and math.e * b - 1.0 > 0.0):
         raise DomainError(f"b must satisfy e*b > 1, got {b!r}")
     return _threshold_momentum("condensation", b, math.e * b - 1.0)
@@ -252,7 +253,7 @@ def threshold_condensation(b: float) -> float:
 
 def threshold_dilution(b: float) -> float:
     """Momentum (4*pi)**2.5 / (e*b) above which the gas is effectively dilute."""
-    _require_positive(b, "b")
+    b = _require_positive(b, "b")
     return _threshold_momentum("dilution", b, math.e * b)
 
 
@@ -269,13 +270,45 @@ def condensation_fixed_point(
     The matching momentum is ``threshold_condensation(pair.b)``, since at
     z' = 1 the coupling is exactly e*b - 1.
     """
-    _require_positive(tol, "tol")
+    tol = _require_positive(tol, "tol")
     # The term cap grows with z, so evaluating the first midpoint before the
     # bracket ends makes a TruncationError name that midpoint, not z = 1e-9.
     bose_g32(0.5 * (_BRACKET_LO + 1.0), params)
     # g is strictly increasing with g(0+) = 0 and g(1) > 1: the root exists.
     outcome = _bracketed_bisect(lambda z: bose_g32(z, params) - 1.0, tol)
     return FugacityPair.from_branch(outcome.z, "bose", params)
+
+
+def _paper_label(p0: float, window: float) -> tuple[RegimeLabel, frozenset[str]]:
+    """The label of p0 against the two nominal thresholds, with its flags."""
+    p_cond, p_dil = P_CONDENSATION_NOMINAL, P_DILUTION_NOMINAL
+    if abs(p0 - p_cond) <= window * p_cond:
+        return RegimeLabel.CONDENSATION, frozenset({FLAG_OVERLAPS_FERMIONIC})
+    if abs(p0 - p_dil) <= window * p_dil:
+        return RegimeLabel.DILUTION, frozenset()
+    label = RegimeLabel.ANOMALOUS_FERMIONIC if p0 < p_dil else RegimeLabel.ABOVE_DILUTION
+    near = abs(p0 - p_cond) <= 2.0 * window * p_cond or abs(p0 - p_dil) <= 2.0 * window * p_dil
+    return label, frozenset({FLAG_NEAR_THRESHOLD} if near else ())
+
+
+def _selfconsistent_label(
+    coupling: float, tol: float, params: SeriesParams
+) -> tuple[RegimeLabel, frozenset[str], FugacityPair | None]:
+    """The label of a solved coupling, with its flags and Bose fugacity pair (if a root exists)."""
+    bose = solve_bose(coupling, tol, params)
+    pair = FugacityPair.from_branch(bose.z, "bose", params) if bose.found else None
+    if pair is not None and pair.z_prime >= 1.0:
+        return RegimeLabel.CONDENSATION, frozenset(), pair
+    # Roots exist only for z > ~0.19, so z' <= tol decides the label only at
+    # a tolerance of order 1.
+    if abs(coupling - math.e) <= tol or (pair is not None and pair.z_prime <= tol):
+        return RegimeLabel.DILUTION, frozenset(), pair
+    if pair is not None:
+        return RegimeLabel.NORMAL_BOSE, frozenset(), pair
+    if bose.no_root_side == "above":
+        # Phi(1) < 3.12 < H(1): no Fermi root exists above the Bose window.
+        return RegimeLabel.OUT_OF_MODEL_RANGE, frozenset({FLAG_NO_FERMI_ROOT}), None
+    return RegimeLabel.ABOVE_DILUTION, frozenset({FLAG_NO_BOSE_ROOT}), None
 
 
 def classify_paper(p0: float, window: float = 0.01) -> RegimeReport:
@@ -286,33 +319,12 @@ def classify_paper(p0: float, window: float = 0.01) -> RegimeReport:
     AnomalousFermionic and the rest AboveDilution.  A Condensation label
     always carries the overlaps_fermionic_range flag, because the whole
     condensation window sits inside the Fermionic inequality range; that
-    overlap is disclosed, never hidden.
+    overlap is disclosed, never hidden.  Outside both windows, a momentum
+    within twice either window carries the near_threshold flag.
     """
     coupling = coupling_from_momentum(p0)
-    _require_positive(window, "window")
-    p_cond, p_dil = P_CONDENSATION_NOMINAL, P_DILUTION_NOMINAL
-    flags: set[str] = set()
-    if abs(p0 - p_cond) <= window * p_cond:
-        label = RegimeLabel.CONDENSATION
-        flags.add(FLAG_OVERLAPS_FERMIONIC)
-    elif abs(p0 - p_dil) <= window * p_dil:
-        label = RegimeLabel.DILUTION
-    elif p0 < p_dil:
-        label = RegimeLabel.ANOMALOUS_FERMIONIC
-    else:
-        label = RegimeLabel.ABOVE_DILUTION
-    if label in (RegimeLabel.ANOMALOUS_FERMIONIC, RegimeLabel.ABOVE_DILUTION) and (
-        abs(p0 - p_cond) <= 2.0 * window * p_cond or abs(p0 - p_dil) <= 2.0 * window * p_dil
-    ):
-        flags.add(FLAG_NEAR_THRESHOLD)
-    return RegimeReport(
-        momentum=float(p0),
-        coupling=coupling,
-        paper_label=label,
-        selfconsistent_label=None,
-        fugacity=None,
-        flags=frozenset(flags),
-    )
+    label, flags = _paper_label(p0, _require_positive(window, "window"))
+    return RegimeReport(float(p0), coupling, label, None, None, flags)
 
 
 def classify_selfconsistent(
@@ -333,36 +345,8 @@ def classify_selfconsistent(
     """
     coupling = coupling_from_momentum(p0)
     _check_series(series)
-    flags: set[str] = set()
-    pair = None
-    bose = solve_bose(coupling, tol, params)
-    if bose.found:
-        pair = FugacityPair.from_branch(bose.z, "bose", params)
-        if pair.z_prime >= 1.0:
-            label = RegimeLabel.CONDENSATION
-        # Roots exist only for z > ~0.19, so z' <= tol decides the label
-        # only at a tolerance of order 1.
-        elif pair.z_prime <= tol or abs(coupling - math.e) <= tol:
-            label = RegimeLabel.DILUTION
-        else:
-            label = RegimeLabel.NORMAL_BOSE
-    elif abs(coupling - math.e) <= tol:
-        label = RegimeLabel.DILUTION
-    elif bose.no_root_side == "above":
-        # Phi(1) < 3.12 < H(1): no Fermi root exists above the Bose window.
-        label = RegimeLabel.OUT_OF_MODEL_RANGE
-        flags.add(FLAG_NO_FERMI_ROOT)
-    else:
-        label = RegimeLabel.ABOVE_DILUTION
-        flags.add(FLAG_NO_BOSE_ROOT)
-    return RegimeReport(
-        momentum=float(p0),
-        coupling=coupling,
-        paper_label=None,
-        selfconsistent_label=label,
-        fugacity=pair,
-        flags=frozenset(flags),
-    )
+    label, flags, pair = _selfconsistent_label(coupling, _require_positive(tol, "tol"), params)
+    return RegimeReport(float(p0), coupling, None, label, pair, flags)
 
 
 def classify_both(
@@ -372,20 +356,15 @@ def classify_both(
     tol: float = 1e-12,
     params: SeriesParams = DEFAULT_SERIES_PARAMS,
 ) -> RegimeReport:
-    """Run both classifiers and merge them into one report.
+    """Apply both classifiers' rules and merge them into one report.
 
     When the two labels disagree the report says so (labels_differ) and
     gains the near_threshold flag: disagreement happens where the nominal
     windows and the solved relation pull apart.
     """
-    paper = classify_paper(p0, window)
-    selfc = classify_selfconsistent(p0, series, tol, params)
-    differ = paper.paper_label != selfc.selfconsistent_label
-    return RegimeReport(
-        momentum=float(p0),
-        coupling=paper.coupling,
-        paper_label=paper.paper_label,
-        selfconsistent_label=selfc.selfconsistent_label,
-        fugacity=selfc.fugacity,
-        flags=paper.flags | selfc.flags | ({FLAG_NEAR_THRESHOLD} if differ else set()),
-    )
+    coupling = coupling_from_momentum(p0)
+    paper, paper_flags = _paper_label(p0, _require_positive(window, "window"))
+    _check_series(series)
+    selfc, flags, pair = _selfconsistent_label(coupling, _require_positive(tol, "tol"), params)
+    near = frozenset({FLAG_NEAR_THRESHOLD} if paper != selfc else ())
+    return RegimeReport(float(p0), coupling, paper, selfc, pair, paper_flags | flags | near)

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, fields
 from numbers import Integral
 
-from .errors import DomainError, _require_positive
+from .errors import DomainError, _real, _set_positive
 from .gas import occupation_bose, occupation_fermi
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams
 from .regime import (
@@ -30,14 +30,16 @@ class SweepSpec:
     tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.p_min > 0.0:
-            raise DomainError(f"p_min must be positive, got {self.p_min!r}")
-        _check_grid(self.p_min, self.p_max, self.steps, "p_min", "p_max")
+        p_min = _real(self.p_min, "p_min")
+        if not p_min > 0.0:
+            raise DomainError(f"p_min must be positive, got {p_min!r}")
+        bounds = _check_grid(p_min, self.p_max, self.steps, "p_min", "p_max")
+        for name, value in zip(("p_min", "p_max"), bounds):
+            object.__setattr__(self, name, value)
         if self.mode not in SWEEP_MODES:
             raise DomainError(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
         _check_series(self.series)
-        _require_positive(self.window, "window")
-        _require_positive(self.tol, "tol")
+        _set_positive(self, "window", "tol")
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,11 @@ def row_from_report(report: RegimeReport) -> SweepRow:
     )
 
 
-def _check_grid(lo: float, hi: float, steps: int, lo_name: str, hi_name: str) -> None:
-    """Refuse grid bounds and counts from which no finite grid can be built."""
+def _check_grid(lo, hi, steps: int, lo_name: str, hi_name: str) -> tuple[float, float]:
+    """The grid bounds as floats; DomainError when no finite grid can be built from them."""
     if not (isinstance(steps, Integral) and steps >= 2):
         raise DomainError(f"steps must be an integer of at least 2, got {steps!r}")
+    lo, hi = _real(lo, lo_name), _real(hi, hi_name)
     for name, value in ((lo_name, lo), (hi_name, hi)):
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
@@ -93,6 +96,7 @@ def _check_grid(lo: float, hi: float, steps: int, lo_name: str, hi_name: str) ->
         raise DomainError(f"{hi_name} must exceed {lo_name}, got {lo_name}={lo!r} {hi_name}={hi!r}")
     if not math.isfinite(hi - lo):
         raise DomainError(f"{hi_name} - {lo_name} overflows, got {lo_name}={lo!r} {hi_name}={hi!r}")
+    return lo, hi
 
 
 def _inclusive_grid(lo: float, hi: float, steps: int):
@@ -174,11 +178,11 @@ def occupation_curve(
     Bose branch a singular grid point (z = 1, beta_eps = 0) raises
     SingularityError just as the point evaluation does.
     """
-    _check_grid(beta_eps_min, beta_eps_max, steps, "beta_eps_min", "beta_eps_max")
+    lo, hi = _check_grid(beta_eps_min, beta_eps_max, steps, "beta_eps_min", "beta_eps_max")
     if branch == "bose":
         occupation = occupation_bose
     elif branch == "fermi":
         occupation = occupation_fermi
     else:
         raise DomainError(f"branch must be 'bose' or 'fermi', got {branch!r}")
-    return [(x, occupation(z, x)) for x in _inclusive_grid(beta_eps_min, beta_eps_max, steps)]
+    return [(x, occupation(z, x)) for x in _inclusive_grid(lo, hi, steps)]

@@ -272,6 +272,43 @@ class TestNormalizationScenario:
         assert isinstance(scenario.total_count, float)
 
 
+# Inputs inside each function's domain whose result overflows, or underflows
+# to 0, in double precision, with the quantity the refusal names.
+OUT_OF_RANGE = {
+    "cube-overflows": (lambda: reduced_fugacity(1e200, 1.0), "z_prime"),
+    "volume-subnormal": (lambda: reduced_fugacity(1.0, 1e-310), "z_prime"),
+    "p0-squared-underflows": (lambda: specific_volume_from_constraint(1e-200, 0.5), "specific_volume"),
+    "p0-squared-overflows": (lambda: specific_volume_from_constraint(1e200, 0.5), "specific_volume"),
+    "z-subnormal": (lambda: specific_volume_from_constraint(1.0, 1e-310), "specific_volume"),
+    "hbar-cube-overflows": (
+        lambda: specific_volume_from_constraint(1.0, 0.5, NaturalUnits(hbar=1e200)), "specific_volume"
+    ),
+    "temperature-overflows": (lambda: mono_energetic_state(1e200), "temperature"),
+    "temperature-underflows": (lambda: mono_energetic_state(1e-310), "temperature"),
+    "mass-unit-underflows": (
+        lambda: mono_energetic_state(1.0, NaturalUnits(m=1e-200, k=1e-200)), "temperature"
+    ),
+    "wavelength-overflows": (
+        lambda: mono_energetic_state(1e-10, NaturalUnits(hbar=1e300)), "thermal_wavelength"
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", OUT_OF_RANGE)
+def test_out_of_range_quantity_is_domain(entry):
+    call, name = OUT_OF_RANGE[entry]
+    with pytest.raises(DomainError, match=f"^{name} must be positive and finite, got "):
+        call()
+
+
+def test_finite_results_near_the_range_keep_their_formulas():
+    assert reduced_fugacity(1e100, 3.0) == 1e100 ** 3 / 3.0
+    assert mono_energetic_state(1e150).temperature == 1e150 * 1e150 / 2.0
+    assert specific_volume_from_constraint(1e-150, 0.5) == (math.e / 0.5 - 1.0) / (
+        4.0 * math.pi * 1e-150 * 1e-150
+    )
+
+
 def test_units_validation():
     with pytest.raises(DomainError):
         NaturalUnits(hbar=0.0)

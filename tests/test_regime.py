@@ -18,8 +18,18 @@ from hypothesis import strategies as st
 
 import qgas
 from qgas.errors import ConvergenceError, DomainError
-from qgas.gas import FugacityPair, NaturalUnits, mono_energetic_state
-from qgas.polylog import SeriesParams, bose_g32
+from qgas.gas import (
+    FugacityPair,
+    NaturalUnits,
+    NormalizationScenario,
+    b_factor,
+    mono_energetic_state,
+    occupation_bose,
+    occupation_fermi,
+    reduced_fugacity,
+    specific_volume_from_constraint,
+)
+from qgas.polylog import SeriesParams, bose_g32, bose_g32_quadrature, fermi_f32_full, fermi_f32_truncated
 from qgas.regime import (
     COUPLING_CONSTANT,
     RegimeReport,
@@ -42,7 +52,7 @@ from qgas.regime import (
     threshold_condensation,
     threshold_dilution,
 )
-from qgas.sweep import SweepSpec
+from qgas.sweep import SweepSpec, occupation_curve
 
 # Frozen references (40-digit arithmetic, rounded to double).
 H_AT_1 = 4.488797090760637  # (e - 1) * zeta(3/2)
@@ -501,6 +511,53 @@ class TestClassifyBoth:
         assert report.selfconsistent_label is RegimeLabel.OUT_OF_MODEL_RANGE
         assert report.labels_differ is True
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1.5])
+    @pytest.mark.parametrize("window", [0.01, 0.05])
+    def test_merges_the_two_classifiers(self, window, tol):
+        # Each window edge (1x and 2x) of both thresholds and the couplings e
+        # and H(1), with their float neighbours on either side.
+        edges = [
+            p + sign * factor * window * p
+            for p in (P_CONDENSATION_NOMINAL, P_DILUTION)
+            for factor in (1.0, 2.0)
+            for sign in (-1.0, 1.0)
+        ] + [COUPLING_CONSTANT / math.e, COUPLING_CONSTANT / H_AT_1]
+        momenta = [
+            q for p in edges for q in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))
+        ]
+        for series, params in (("truncated", SeriesParams()), ("full", SeriesParams(1e-8, 10_000))):
+            for p0 in momenta:
+                both = classify_both(p0, window, series, tol, params)
+                paper = classify_paper(p0, window)
+                selfc = classify_selfconsistent(p0, series, tol, params)
+                differ = paper.paper_label != selfc.selfconsistent_label
+                assert both.momentum == paper.momentum == selfc.momentum == p0
+                assert both.coupling == paper.coupling == selfc.coupling
+                assert both.paper_label is paper.paper_label, p0
+                assert both.selfconsistent_label is selfc.selfconsistent_label, p0
+                assert both.fugacity == selfc.fugacity, p0
+                assert both.flags == (
+                    paper.flags | selfc.flags | ({FLAG_NEAR_THRESHOLD} if differ else set())
+                ), p0
+
+    @pytest.mark.parametrize(
+        "call, first",
+        [
+            (lambda: classify_paper(-1.0, 0.0), "p0"),
+            (lambda: classify_selfconsistent(-1.0, "bogus", math.nan), "p0"),
+            (lambda: classify_selfconsistent(150.0, "bogus", math.nan), "unknown series"),
+            (lambda: classify_selfconsistent(150.0, "full", math.nan), "tol"),
+            (lambda: classify_both(-1.0, 0.0, "bogus", math.nan), "p0"),
+            (lambda: classify_both(150.0, 0.0, "bogus", math.nan), "window"),
+            (lambda: classify_both(150.0, 0.01, "bogus", math.nan), "unknown series"),
+            (lambda: classify_both(150.0, 0.01, "full", math.nan), "tol"),
+        ],
+    )
+    def test_first_error_follows_argument_order(self, call, first):
+        # Arguments are checked in the order p0, window, series, tol.
+        with pytest.raises(DomainError, match=f"^{first} "):
+            call()
+
     def test_labels_differ_is_derived(self):
         # None unless both labels are set; never a constructor argument.
         assert classify_paper(205.93).labels_differ is None
@@ -573,3 +630,82 @@ def test_positive_and_finite_refusal(entry, value):
     with pytest.raises(DomainError) as err:
         call(value)
     assert str(err.value) == f"{name} must be positive and finite, got {value!r}"
+
+
+# Every entry point that takes a real number, with the argument name its
+# message carries: a value float() refuses is a DomainError, never a raw
+# TypeError, ValueError or OverflowError.
+REAL_ARGUMENTS = {
+    **POSITIVE_ARGUMENTS,
+    "bose_g32": ("z", bose_g32),
+    "fermi_f32_full": ("z", fermi_f32_full),
+    "fermi_f32_truncated": ("z", fermi_f32_truncated),
+    "bose_g32_quadrature": ("z", bose_g32_quadrature),
+    "b_factor": ("z", b_factor),
+    "FugacityPair.from_branch": ("z", lambda v: FugacityPair.from_branch(v, "bose")),
+    "FugacityPair-z": ("z", lambda v: FugacityPair(z=v, z_prime=0.5, b=1.0)),
+    "FugacityPair-z_prime": ("z_prime", lambda v: FugacityPair(z=0.5, z_prime=v, b=1.0)),
+    "occupation_bose-beta_eps": ("beta_eps", lambda v: occupation_bose(0.5, v)),
+    "occupation_fermi-z": ("z", lambda v: occupation_fermi(v, 1.0)),
+    "occupation_fermi-beta_eps": ("beta_eps", lambda v: occupation_fermi(0.5, v)),
+    "reduced_fugacity-thermal_wavelength": ("thermal_wavelength", lambda v: reduced_fugacity(v, 1.0)),
+    "reduced_fugacity-specific_volume": ("specific_volume", lambda v: reduced_fugacity(1.0, v)),
+    "specific_volume_from_constraint": ("z", lambda v: specific_volume_from_constraint(1.0, v)),
+    "NormalizationScenario.from_totals": (
+        "total_count", lambda v: NormalizationScenario.from_totals(v, 5.0)
+    ),
+    "threshold_condensation": ("b", threshold_condensation),
+    "classify_selfconsistent-tol": ("tol", lambda v: classify_selfconsistent(205.0, tol=v)),
+    "classify_both-window": ("window", lambda v: classify_both(205.0, window=v)),
+    "classify_both-tol": ("tol", lambda v: classify_both(205.0, tol=v)),
+    "SweepSpec-p_min": ("p_min", lambda v: SweepSpec(v, 200.0, 3)),
+    "SweepSpec-p_max": ("p_max", lambda v: SweepSpec(100.0, v, 3)),
+    "occupation_curve": ("beta_eps_min", lambda v: occupation_curve(0.5, v, 1.0, 3)),
+}
+
+
+@pytest.mark.parametrize("value", ["abc", None, 1j, 10**400], ids=["str", "None", "complex", "huge-int"])
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+def test_non_number_refusal(entry, value):
+    name, call = REAL_ARGUMENTS[entry]
+    with pytest.raises(DomainError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be a real number, got {value!r}"
+
+
+# Calls that take a numeric string as the float it spells, next to the same
+# call with that float.
+NUMERIC_STRING_CALLS = {
+    "solve_bose": (lambda: solve_bose("4.0", "1e-12"), lambda: solve_bose(4.0, 1e-12)),
+    "threshold_dilution": (lambda: threshold_dilution("1"), lambda: threshold_dilution(1.0)),
+    "threshold_condensation": (
+        lambda: threshold_condensation("1.4"), lambda: threshold_condensation(1.4)
+    ),
+    "condensation_fixed_point": (
+        lambda: condensation_fixed_point(tol="1e-12"), lambda: condensation_fixed_point(tol=1e-12)
+    ),
+    "classify_both": (
+        lambda: classify_both(205.0, window="0.01", tol="1e-12"), lambda: classify_both(205.0)
+    ),
+    "b_factor": (lambda: b_factor("0.5"), lambda: b_factor(0.5)),
+    "occupation_fermi": (lambda: occupation_fermi("0.5", "1"), lambda: occupation_fermi(0.5, 1.0)),
+    "FugacityPair": (
+        lambda: FugacityPair(z="0.5", z_prime="0.5", b="1"), lambda: FugacityPair(0.5, 0.5, 1.0)
+    ),
+    "SweepSpec": (
+        lambda: SweepSpec("100", "200", 3, window="0.01", tol="1e-12"),
+        lambda: SweepSpec(100.0, 200.0, 3),
+    ),
+    "occupation_curve": (
+        lambda: occupation_curve(0.5, "0", "1", 3), lambda: occupation_curve(0.5, 0.0, 1.0, 3)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", NUMERIC_STRING_CALLS)
+def test_numeric_string_is_its_float(entry):
+    # repr tells 1.0 from 1 and "1": dataclasses store the floats they checked.
+    with_string, with_float = (call() for call in NUMERIC_STRING_CALLS[entry])
+    assert with_string == with_float
+    assert repr(with_string) == repr(with_float)
+
