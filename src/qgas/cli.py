@@ -24,7 +24,7 @@ from .errors import (
     TruncationError,
     _require_positive,
 )
-from .polylog import SeriesParams, bose_g32, fermi_f32_full, fermi_f32_truncated
+from .polylog import SeriesParams, _branch_series
 from .regime import (
     B_CONDENSATION_NOMINAL,
     B_DILUTION_NOMINAL,
@@ -109,6 +109,9 @@ def _fill_settings(args: argparse.Namespace) -> None:
     _require_positive(args.window, "window")
 
 
+# Each `polylog --kind`, with the series branch it evaluates.
+_POLYLOG_KINDS = {"bose": "bose", "fermi": "fermi-full", "fermi3": "fermi-truncated"}
+
 # The columns of each table, in order: CSV header and JSON keys alike.
 _POLYLOG_COLUMNS = ("kind", "z", "value")
 _THRESHOLD_COLUMNS = ("name", "b", "p0", "z")
@@ -125,12 +128,7 @@ def _table_text(fmt: str, columns: tuple[str, ...], rows: list[tuple], text: str
 
 
 def _cmd_polylog(args: argparse.Namespace) -> str:
-    if args.kind == "bose":
-        value = bose_g32(args.z, args.params)
-    elif args.kind == "fermi":
-        value = fermi_f32_full(args.z, args.params)
-    else:
-        value = fermi_f32_truncated(args.z)
+    value = _branch_series(args.z, _POLYLOG_KINDS[args.kind], args.params)
     row = (args.kind, args.z, value)
     if args.format == "json":
         return _json_text(dict(zip(_POLYLOG_COLUMNS, row)))
@@ -232,7 +230,7 @@ def _build_parser() -> _Parser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     p_polylog = subparsers.add_parser("polylog", parents=[common])
-    p_polylog.add_argument("--kind", choices=("bose", "fermi", "fermi3"), required=True)
+    p_polylog.add_argument("--kind", choices=tuple(_POLYLOG_KINDS), required=True)
     p_polylog.add_argument("--z", type=float, required=True)
     p_polylog.set_defaults(handler=_cmd_polylog)
 

@@ -46,7 +46,11 @@ def _real(value, name: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{name} must be a real number, got {value!r}") from exc
+        try:
+            shown = repr(value)
+        except ValueError:  # an int past Python's digit limit for int-to-str
+            shown = f"an int of {value.bit_length()} bits"
+        raise DomainError(f"{name} must be a real number, got {shown}") from exc
 
 
 def _require_positive(value, name: str) -> float:

@@ -13,16 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularityError, _real, _require_positive, _set_positive
-from .polylog import (
-    DEFAULT_SERIES_PARAMS,
-    SeriesParams,
-    _checked_z,
-    bose_g32,
-    fermi_f32_full,
-    fermi_f32_truncated,
-)
-
-BRANCHES = ("bose", "fermi-full", "fermi-truncated")
+from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams, _branch_series, _checked_z
 
 
 def _nonnegative(value: float, name: str) -> float:
@@ -90,6 +81,8 @@ class FugacityPair:
     ) -> "FugacityPair":
         """Build the pair by evaluating the branch series at z (z > 0)."""
         z = _real(z, "z")
+        if z == 0.0:
+            raise DomainError("b is undefined at z = 0 (the z -> 0 limit is 1)")
         z_prime = _branch_series(z, branch, params)
         return cls(z=z, z_prime=z_prime, b=z_prime / z)
 
@@ -181,18 +174,6 @@ def reduced_fugacity(thermal_wavelength: float, specific_volume: float) -> float
     thermal_wavelength = _require_positive(thermal_wavelength, "thermal_wavelength")
     specific_volume = _require_positive(specific_volume, "specific_volume")
     return _derived("z_prime", lambda: thermal_wavelength ** 3 / specific_volume)
-
-
-def _branch_series(z: float, branch: str, params: SeriesParams) -> float:
-    if z == 0.0:
-        raise DomainError("b is undefined at z = 0 (the z -> 0 limit is 1)")
-    if branch == "bose":
-        return bose_g32(z, params)
-    if branch == "fermi-full":
-        return fermi_f32_full(z, params)
-    if branch == "fermi-truncated":
-        return fermi_f32_truncated(z)
-    raise DomainError(f"unknown branch {branch!r}, expected one of {BRANCHES}")
 
 
 def b_factor(z: float, branch: str = "bose", params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:

@@ -222,6 +222,20 @@ def fermi_f32_truncated(z: float) -> float:
     return z - z * z * 0.5 ** 1.5 + z * z * z * 3.0 ** -1.5
 
 
+BRANCHES = ("bose", "fermi-full", "fermi-truncated")
+
+
+def _branch_series(z: float, branch: str, params: SeriesParams) -> float:
+    """The series that ``branch`` (one of BRANCHES) names, evaluated at z."""
+    if branch == "bose":
+        return bose_g32(z, params)
+    if branch == "fermi-full":
+        return fermi_f32_full(z, params)
+    if branch == "fermi-truncated":
+        return fermi_f32_truncated(z)
+    raise DomainError(f"unknown branch {branch!r}, expected one of {BRANCHES}")
+
+
 def bose_g32_quadrature(z: float) -> float:
     """Bose order-3/2 function via its integral representation.
 

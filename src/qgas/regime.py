@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConvergenceError, DomainError, _real, _require_positive
-from .gas import FugacityPair, _branch_series
-from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams, bose_g32
+from .gas import FugacityPair
+from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams, _branch_series, bose_g32
 
 # (4*pi)**2.5, the numerator of the coupling K = (4*pi)**2.5 / p0.
 COUPLING_CONSTANT = 32.0 * math.pi ** 2.5
@@ -123,9 +123,9 @@ class RegimeReport:
 
 def coupling_from_momentum(p0: float) -> float:
     """Coupling K = (4*pi)**2.5 / p0 for momentum p0 > 0."""
-    if not (isinstance(p0, (int, float)) and math.isfinite(p0) and p0 > 0):
+    if not isinstance(p0, (int, float)):
         raise DomainError(f"p0 must be positive and finite, got {p0!r}")
-    coupling = COUPLING_CONSTANT / p0
+    coupling = COUPLING_CONSTANT / _require_positive(p0, "p0")
     if math.isinf(coupling):
         raise DomainError(f"p0 is too small for a finite coupling (4*pi)**2.5 / p0, got {p0!r}")
     return coupling
@@ -138,6 +138,7 @@ def _check_series(series: str) -> None:
 
 def bose_constraint_lhs(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
     """H(z) = e*g(z)/z - g(z), the Bose side of the normalization relation."""
+    z = _real(z, "z")
     if not 0.0 < z <= 1.0:
         raise DomainError(f"z must lie in (0, 1], got {z!r}")
     g = bose_g32(z, params)
@@ -150,6 +151,7 @@ def fermi_constraint_lhs(
     z: float, series: str = "truncated", params: SeriesParams = DEFAULT_SERIES_PARAMS
 ) -> float:
     """Phi(z) = e*f(z)/z + f(z), the Fermi side of the normalization relation."""
+    z = _real(z, "z")
     if not 0.0 < z <= 1.0:
         raise DomainError(f"z must lie in (0, 1], got {z!r}")
     _check_series(series)
@@ -161,7 +163,7 @@ def bose_residual(
     z: float, coupling: float, params: SeriesParams = DEFAULT_SERIES_PARAMS
 ) -> float:
     """Signed residual H(z) - K of the Bose self-consistency relation."""
-    return bose_constraint_lhs(z, params) - coupling
+    return bose_constraint_lhs(z, params) - _require_positive(coupling, "coupling")
 
 
 def fermi_residual(
@@ -171,7 +173,7 @@ def fermi_residual(
     params: SeriesParams = DEFAULT_SERIES_PARAMS,
 ) -> float:
     """Signed residual Phi(z) - K of the Fermi self-consistency relation."""
-    return fermi_constraint_lhs(z, series, params) - coupling
+    return fermi_constraint_lhs(z, series, params) - _require_positive(coupling, "coupling")
 
 
 def _bracketed_bisect(residual, tol: float) -> SolveOutcome:
@@ -213,7 +215,7 @@ def solve_bose(
     """
     coupling = _require_positive(coupling, "coupling")
     tol = _require_positive(tol, "tol")
-    return _bracketed_bisect(lambda z: bose_residual(z, coupling, params), tol)
+    return _bracketed_bisect(lambda z: bose_constraint_lhs(z, params) - coupling, tol)
 
 
 def solve_fermi(
@@ -229,7 +231,7 @@ def solve_fermi(
     """
     coupling = _require_positive(coupling, "coupling")
     tol = _require_positive(tol, "tol")
-    return _bracketed_bisect(lambda z: fermi_residual(z, coupling, series, params), tol)
+    return _bracketed_bisect(lambda z: fermi_constraint_lhs(z, series, params) - coupling, tol)
 
 
 def _threshold_momentum(name: str, b: float, denominator: float) -> float:
@@ -271,9 +273,6 @@ def condensation_fixed_point(
     z' = 1 the coupling is exactly e*b - 1.
     """
     tol = _require_positive(tol, "tol")
-    # The term cap grows with z, so evaluating the first midpoint before the
-    # bracket ends makes a TruncationError name that midpoint, not z = 1e-9.
-    bose_g32(0.5 * (_BRACKET_LO + 1.0), params)
     # g is strictly increasing with g(0+) = 0 and g(1) > 1: the root exists.
     outcome = _bracketed_bisect(lambda z: bose_g32(z, params) - 1.0, tol)
     return FugacityPair.from_branch(outcome.z, "bose", params)

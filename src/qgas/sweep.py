@@ -88,6 +88,7 @@ def _check_grid(lo, hi, steps: int, lo_name: str, hi_name: str) -> tuple[float, 
     """The grid bounds as floats; DomainError when no finite grid can be built from them."""
     if not (isinstance(steps, Integral) and steps >= 2):
         raise DomainError(f"steps must be an integer of at least 2, got {steps!r}")
+    _real(steps, "steps")  # the grid divides by steps - 1 as a float
     lo, hi = _real(lo, lo_name), _real(hi, hi_name)
     for name, value in ((lo_name, lo), (hi_name, hi)):
         if not math.isfinite(value):

@@ -233,6 +233,11 @@ class TestSweep:
         assert (code, out) == (EXIT_DOMAIN, "")
         assert "p_max must be finite" in err
 
+    def test_steps_beyond_float_range_is_domain(self, cli):
+        code, out, err = cli("sweep", "--p-min", "1", "--p-max", "2", "--steps", str(10**400))
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == f"domain error: steps must be a real number, got {10**400!r}\n"
+
     def test_out_file(self, cli, tmp_path):
         target = tmp_path / "rows.csv"
         code, out, _ = cli(
@@ -289,6 +294,14 @@ class TestOccupation:
         )
         assert (code, out) == (EXIT_DOMAIN, "")
         assert "beta_eps_max must be finite" in err
+
+    def test_steps_beyond_float_range_is_domain(self, cli):
+        code, out, err = cli(
+            "occupation", "--z", "0.5", "--beta-eps-min", "0", "--beta-eps-max", "1",
+            "--steps", str(10**400),
+        )
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == f"domain error: steps must be a real number, got {10**400!r}\n"
 
     def test_singular_grid_point_is_domain(self, cli):
         code, out, err = cli(

@@ -64,6 +64,10 @@ class TestOccupationBose:
     def test_large_beta_eps_underflows_to_zero(self):
         assert occupation_bose(1.0, 800.0) == 0.0
 
+    @pytest.mark.parametrize("beta_eps", [0.0, 1.0, 1e308])
+    def test_empty_at_zero_fugacity(self, beta_eps):
+        assert occupation_bose(0.0, beta_eps) == 0.0
+
     def test_divergence_rate_toward_singularity(self):
         # 1/(e**x - 1) > 10**n - 1 along beta_eps = 10**-n at z = 1.
         for n in range(1, 13):
@@ -87,6 +91,16 @@ class TestOccupationFermi:
     def test_negative_z_rejected(self):
         with pytest.raises(DomainError):
             occupation_fermi(-0.1, 1.0)
+
+    @pytest.mark.parametrize("beta_eps", [-1e308, -1.0, 0.0, 1.0])
+    def test_empty_at_zero_fugacity(self, beta_eps):
+        assert occupation_fermi(0.0, beta_eps) == 0.0
+
+    @pytest.mark.parametrize("beta_eps", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_beta_eps_rejected(self, beta_eps):
+        with pytest.raises(DomainError) as err:
+            occupation_fermi(0.5, beta_eps)
+        assert str(err.value) == f"beta_eps must be finite, got {beta_eps!r}"
 
     def test_negative_beta_eps_is_stable(self):
         # Occupation approaches 1 from below; must not overflow.

@@ -93,6 +93,19 @@ class TestCoupling:
         with pytest.raises(DomainError, match=r"^p0 .*got 1e-320$"):
             coupling_from_momentum(1e-320)
 
+    @pytest.mark.parametrize(
+        "call", [coupling_from_momentum, classify_paper, classify_selfconsistent, classify_both]
+    )
+    def test_huge_int_momentum_is_domain(self, call):
+        # float(10**400) overflows: the momentum is refused by the number rule.
+        with pytest.raises(DomainError) as err:
+            call(10**400)
+        assert str(err.value) == f"p0 must be a real number, got {10**400!r}"
+
+    def test_numeric_string_still_refused(self):
+        with pytest.raises(DomainError, match=r"^p0 must be positive and finite, got '150'$"):
+            coupling_from_momentum("150")
+
 
 class TestConstraintCurves:
     def test_bose_endpoint(self):
@@ -350,6 +363,17 @@ class TestFixedPoint:
         )
         out = done.stdout.strip()
         assert out == "ConvergenceError" or abs(float(out) - 1.0) <= 1e-15
+
+    def test_evaluates_each_fugacity_once(self, monkeypatch):
+        seen = []
+
+        def recording(z, params):
+            seen.append(z)
+            return bose_g32(z, params)
+
+        monkeypatch.setattr("qgas.regime.bose_g32", recording)
+        assert condensation_fixed_point().z == pytest.approx(FIXED_POINT_Z, abs=1e-9)
+        assert len(seen) == len(set(seen))
 
 
 class TestClassifyPaper:
@@ -618,6 +642,8 @@ POSITIVE_ARGUMENTS = {
     "SweepSpec-window": ("window", lambda v: SweepSpec(100.0, 200.0, 3, window=v)),
     "SweepSpec-tol": ("tol", lambda v: SweepSpec(100.0, 200.0, 3, tol=v)),
     "FugacityPair": ("b", lambda v: FugacityPair(z=0.0, z_prime=0.0, b=v)),
+    "bose_residual-coupling": ("coupling", lambda v: bose_residual(0.5, v)),
+    "fermi_residual-coupling": ("coupling", lambda v: fermi_residual(0.5, v)),
     "NaturalUnits": ("hbar", lambda v: NaturalUnits(hbar=v)),
     "mono_energetic_state": ("p0", mono_energetic_state),
 }
@@ -661,6 +687,8 @@ REAL_ARGUMENTS = {
     "SweepSpec-p_min": ("p_min", lambda v: SweepSpec(v, 200.0, 3)),
     "SweepSpec-p_max": ("p_max", lambda v: SweepSpec(100.0, v, 3)),
     "occupation_curve": ("beta_eps_min", lambda v: occupation_curve(0.5, v, 1.0, 3)),
+    "bose_constraint_lhs": ("z", bose_constraint_lhs),
+    "fermi_constraint_lhs": ("z", fermi_constraint_lhs),
 }
 
 
@@ -671,6 +699,15 @@ def test_non_number_refusal(entry, value):
     with pytest.raises(DomainError) as err:
         call(value)
     assert str(err.value) == f"{name} must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+def test_int_past_the_digit_limit_is_described(entry):
+    # repr refuses an int of more than 4,300 digits; the message gives its size.
+    name, call = REAL_ARGUMENTS[entry]
+    with pytest.raises(DomainError) as err:
+        call(10**5000)
+    assert str(err.value) == f"{name} must be a real number, got an int of 16610 bits"
 
 
 # Calls that take a numeric string as the float it spells, next to the same
@@ -688,6 +725,7 @@ NUMERIC_STRING_CALLS = {
         lambda: classify_both(205.0, window="0.01", tol="1e-12"), lambda: classify_both(205.0)
     ),
     "b_factor": (lambda: b_factor("0.5"), lambda: b_factor(0.5)),
+    "bose_constraint_lhs": (lambda: bose_constraint_lhs("0.5"), lambda: bose_constraint_lhs(0.5)),
     "occupation_fermi": (lambda: occupation_fermi("0.5", "1"), lambda: occupation_fermi(0.5, 1.0)),
     "FugacityPair": (
         lambda: FugacityPair(z="0.5", z_prime="0.5", b="1"), lambda: FugacityPair(0.5, 0.5, 1.0)

@@ -87,6 +87,17 @@ class TestSweepSpec:
         with pytest.raises(DomainError, match=rf"^{name} "):
             SweepSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda steps: SweepSpec(1.0, 2.0, steps), lambda steps: occupation_curve(0.5, 0.0, 1.0, steps)],
+        ids=["SweepSpec", "occupation_curve"],
+    )
+    def test_steps_beyond_float_range_is_domain(self, build):
+        # The grid divides by steps - 1 as a float, which 10**400 overflows.
+        with pytest.raises(DomainError) as err:
+            build(10**400)
+        assert str(err.value) == f"steps must be a real number, got {10**400!r}"
+
 
 class TestRunSweep:
     def test_paper_mode_labels(self):
