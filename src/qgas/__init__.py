@@ -1,129 +1,16 @@
 """Mono-energetic quantum gas: occupation statistics, order-3/2 series,
 self-consistent fugacity solvers, regime classification and sweeps."""
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    QgasError,
-    QuadratureError,
-    SingularityError,
-    TruncationError,
-)
-from .gas import (
-    DEFAULT_UNITS,
-    FugacityPair,
-    MonoEnergeticState,
-    NaturalUnits,
-    NormalizationScenario,
-    b_factor,
-    mono_energetic_state,
-    occupation_bose,
-    occupation_fermi,
-    reduced_fugacity,
-    specific_volume_from_constraint,
-)
-from .polylog import (
-    DEFAULT_SERIES_PARAMS,
-    ETA_3_2,
-    ZETA_3_2,
-    SeriesParams,
-    bose_g32,
-    bose_g32_quadrature,
-    clear_series_cache,
-    fermi_f32_full,
-    fermi_f32_truncated,
-)
-from .regime import (
-    COUPLING_CONSTANT,
-    FLAG_NEAR_THRESHOLD,
-    FLAG_NO_BOSE_ROOT,
-    FLAG_NO_FERMI_ROOT,
-    FLAG_ORDER,
-    FLAG_OVERLAPS_FERMIONIC,
-    RegimeLabel,
-    RegimeReport,
-    SolveOutcome,
-    bose_constraint_lhs,
-    bose_residual,
-    classify_both,
-    classify_paper,
-    classify_selfconsistent,
-    condensation_fixed_point,
-    coupling_from_momentum,
-    fermi_constraint_lhs,
-    fermi_residual,
-    solve_bose,
-    solve_fermi,
-    threshold_condensation,
-    threshold_dilution,
-)
-from .sweep import (
-    SweepRow,
-    SweepSpec,
-    emit_csv,
-    emit_json,
-    occupation_curve,
-    row_from_report,
-    run_sweep,
-)
+# Each module declares its public names in __all__; importing it also binds its name here.
+from .errors import *
+from .gas import *
+from .polylog import *
+from .regime import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "DomainError",
-    "QgasError",
-    "QuadratureError",
-    "SingularityError",
-    "TruncationError",
-    "DEFAULT_UNITS",
-    "FugacityPair",
-    "MonoEnergeticState",
-    "NaturalUnits",
-    "NormalizationScenario",
-    "b_factor",
-    "mono_energetic_state",
-    "occupation_bose",
-    "occupation_fermi",
-    "reduced_fugacity",
-    "specific_volume_from_constraint",
-    "DEFAULT_SERIES_PARAMS",
-    "ETA_3_2",
-    "ZETA_3_2",
-    "SeriesParams",
-    "bose_g32",
-    "bose_g32_quadrature",
-    "clear_series_cache",
-    "fermi_f32_full",
-    "fermi_f32_truncated",
-    "COUPLING_CONSTANT",
-    "FLAG_NEAR_THRESHOLD",
-    "FLAG_NO_BOSE_ROOT",
-    "FLAG_NO_FERMI_ROOT",
-    "FLAG_ORDER",
-    "FLAG_OVERLAPS_FERMIONIC",
-    "RegimeLabel",
-    "RegimeReport",
-    "SolveOutcome",
-    "bose_constraint_lhs",
-    "bose_residual",
-    "classify_both",
-    "classify_paper",
-    "classify_selfconsistent",
-    "condensation_fixed_point",
-    "coupling_from_momentum",
-    "fermi_constraint_lhs",
-    "fermi_residual",
-    "solve_bose",
-    "solve_fermi",
-    "threshold_condensation",
-    "threshold_dilution",
-    "SweepRow",
-    "SweepSpec",
-    "emit_csv",
-    "emit_json",
-    "occupation_curve",
-    "row_from_report",
-    "run_sweep",
-    "__version__",
-]
+__all__ = (
+    errors.__all__ + gas.__all__ + polylog.__all__ + regime.__all__ + sweep.__all__
+    + ["__version__"]
+)

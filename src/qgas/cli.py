@@ -36,8 +36,8 @@ from .regime import (
     threshold_dilution,
 )
 from .sweep import (
-    SWEEP_MODES, SweepSpec, _classify, _csv_cell, _csv_table, _json_text, emit_csv, emit_json,
-    occupation_curve, row_from_report, run_sweep,
+    OCCUPATION_BRANCHES, SWEEP_MODES, SweepSpec, _classify, _csv_cell, _csv_table, _json_text,
+    emit_csv, emit_json, occupation_curve, row_from_report, run_sweep,
 )
 
 EXIT_OK = 0
@@ -252,7 +252,7 @@ def _build_parser() -> _Parser:
 
     p_occupation = subparsers.add_parser("occupation", parents=[common])
     p_occupation.add_argument("--z", type=float, required=True)
-    p_occupation.add_argument("--branch", choices=("bose", "fermi"), default="bose")
+    p_occupation.add_argument("--branch", choices=OCCUPATION_BRANCHES, default="bose")
     p_occupation.add_argument("--beta-eps-min", type=float, required=True, dest="beta_eps_min")
     p_occupation.add_argument("--beta-eps-max", type=float, required=True, dest="beta_eps_max")
     p_occupation.add_argument("--steps", type=int, required=True)

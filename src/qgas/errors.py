@@ -7,6 +7,15 @@ failures (series truncation, quadrature, root bracketing).
 
 import math
 
+__all__ = [
+    "ConvergenceError",
+    "DomainError",
+    "QgasError",
+    "QuadratureError",
+    "SingularityError",
+    "TruncationError",
+]
+
 
 class QgasError(Exception):
     """Base class for all package errors."""
@@ -41,16 +50,22 @@ class ConvergenceError(QgasError, ArithmeticError):
     """A bracketing solver found a sign change but not a root within its iteration cap."""
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal message; a description when Python will not print it."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past Python's digit limit for int-to-str, or a value holding one
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a value of type {type(value).__name__}"
+
+
 def _real(value, name: str) -> float:
     """``value`` as a float; DomainError when it is not a real number."""
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        try:
-            shown = repr(value)
-        except ValueError:  # an int past Python's digit limit for int-to-str
-            shown = f"an int of {value.bit_length()} bits"
-        raise DomainError(f"{name} must be a real number, got {shown}") from exc
+        raise DomainError(f"{name} must be a real number, got {_shown(value)}") from exc
 
 
 def _require_positive(value, name: str) -> float:
@@ -59,6 +74,12 @@ def _require_positive(value, name: str) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return value
+
+
+def _one_of(value, choices: tuple, what: str) -> None:
+    """DomainError unless ``value`` is one of ``choices``; ``what`` names the kind of value."""
+    if value not in choices:
+        raise DomainError(f"unknown {what} {_shown(value)}, expected one of {choices}")
 
 
 def _set_positive(instance, *names: str) -> None:

@@ -9,6 +9,20 @@ sqrt(4*pi)*hbar/p0.  Momenta are plain numbers in natural units
 
 from __future__ import annotations
 
+__all__ = [
+    "DEFAULT_UNITS",
+    "FugacityPair",
+    "MonoEnergeticState",
+    "NaturalUnits",
+    "NormalizationScenario",
+    "b_factor",
+    "mono_energetic_state",
+    "occupation_bose",
+    "occupation_fermi",
+    "reduced_fugacity",
+    "specific_volume_from_constraint",
+]
+
 import math
 from dataclasses import dataclass
 

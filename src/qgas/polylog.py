@@ -23,10 +23,22 @@ shares no code with the evaluator.
 
 from __future__ import annotations
 
+__all__ = [
+    "DEFAULT_SERIES_PARAMS",
+    "ETA_3_2",
+    "ZETA_3_2",
+    "SeriesParams",
+    "bose_g32",
+    "bose_g32_quadrature",
+    "clear_series_cache",
+    "fermi_f32_full",
+    "fermi_f32_truncated",
+]
+
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, QuadratureError, TruncationError, _real
+from .errors import DomainError, QuadratureError, TruncationError, _one_of, _real, _shown
 
 # Value of the Bose series at z = 1 (Riemann zeta at 3/2), the supremum of
 # bose_g32 on [0, 1].
@@ -87,9 +99,9 @@ class SeriesParams:
 
     def __post_init__(self):
         if not (isinstance(self.tolerance, float) and math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise DomainError(f"tolerance must be a positive finite float, got {self.tolerance!r}")
+            raise DomainError(f"tolerance must be a positive finite float, got {_shown(self.tolerance)}")
         if not (isinstance(self.max_terms, int) and self.max_terms >= 1):
-            raise DomainError(f"max_terms must be a positive integer, got {self.max_terms!r}")
+            raise DomainError(f"max_terms must be a positive integer, got {_shown(self.max_terms)}")
 
 
 DEFAULT_SERIES_PARAMS = SeriesParams()
@@ -227,13 +239,12 @@ BRANCHES = ("bose", "fermi-full", "fermi-truncated")
 
 def _branch_series(z: float, branch: str, params: SeriesParams) -> float:
     """The series that ``branch`` (one of BRANCHES) names, evaluated at z."""
+    _one_of(branch, BRANCHES, "branch")
     if branch == "bose":
         return bose_g32(z, params)
     if branch == "fermi-full":
         return fermi_f32_full(z, params)
-    if branch == "fermi-truncated":
-        return fermi_f32_truncated(z)
-    raise DomainError(f"unknown branch {branch!r}, expected one of {BRANCHES}")
+    return fermi_f32_truncated(z)
 
 
 def bose_g32_quadrature(z: float) -> float:

@@ -25,11 +25,36 @@ solves the Fermi relation for callers that ask for it.
 
 from __future__ import annotations
 
+__all__ = [
+    "COUPLING_CONSTANT",
+    "FLAG_NEAR_THRESHOLD",
+    "FLAG_NO_BOSE_ROOT",
+    "FLAG_NO_FERMI_ROOT",
+    "FLAG_ORDER",
+    "FLAG_OVERLAPS_FERMIONIC",
+    "RegimeLabel",
+    "RegimeReport",
+    "SolveOutcome",
+    "bose_constraint_lhs",
+    "bose_residual",
+    "classify_both",
+    "classify_paper",
+    "classify_selfconsistent",
+    "condensation_fixed_point",
+    "coupling_from_momentum",
+    "fermi_constraint_lhs",
+    "fermi_residual",
+    "solve_bose",
+    "solve_fermi",
+    "threshold_condensation",
+    "threshold_dilution",
+]
+
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConvergenceError, DomainError, _real, _require_positive
+from .errors import ConvergenceError, DomainError, _one_of, _real, _require_positive, _shown
 from .gas import FugacityPair
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams, _branch_series, bose_g32
 
@@ -124,23 +149,24 @@ class RegimeReport:
 def coupling_from_momentum(p0: float) -> float:
     """Coupling K = (4*pi)**2.5 / p0 for momentum p0 > 0."""
     if not isinstance(p0, (int, float)):
-        raise DomainError(f"p0 must be positive and finite, got {p0!r}")
+        raise DomainError(f"p0 must be positive and finite, got {_shown(p0)}")
     coupling = COUPLING_CONSTANT / _require_positive(p0, "p0")
     if math.isinf(coupling):
         raise DomainError(f"p0 is too small for a finite coupling (4*pi)**2.5 / p0, got {p0!r}")
     return coupling
 
 
-def _check_series(series: str) -> None:
-    if series not in SERIES_VARIANTS:
-        raise DomainError(f"unknown series variant {series!r}, expected one of {SERIES_VARIANTS}")
+def _curve_z(z: float) -> float:
+    """``z`` as a float; DomainError unless it lies in (0, 1], where H and Phi are defined."""
+    z = _real(z, "z")
+    if not 0.0 < z <= 1.0:
+        raise DomainError(f"z must lie in (0, 1], got {z!r}")
+    return z
 
 
 def bose_constraint_lhs(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
     """H(z) = e*g(z)/z - g(z), the Bose side of the normalization relation."""
-    z = _real(z, "z")
-    if not 0.0 < z <= 1.0:
-        raise DomainError(f"z must lie in (0, 1], got {z!r}")
+    z = _curve_z(z)
     g = bose_g32(z, params)
     if z == 1.0:
         return _H_AT_1
@@ -151,10 +177,8 @@ def fermi_constraint_lhs(
     z: float, series: str = "truncated", params: SeriesParams = DEFAULT_SERIES_PARAMS
 ) -> float:
     """Phi(z) = e*f(z)/z + f(z), the Fermi side of the normalization relation."""
-    z = _real(z, "z")
-    if not 0.0 < z <= 1.0:
-        raise DomainError(f"z must lie in (0, 1], got {z!r}")
-    _check_series(series)
+    z = _curve_z(z)
+    _one_of(series, SERIES_VARIANTS, "series variant")
     f = _branch_series(z, f"fermi-{series}", params)
     return math.e * f / z + f
 
@@ -176,10 +200,12 @@ def fermi_residual(
     return fermi_constraint_lhs(z, series, params) - _require_positive(coupling, "coupling")
 
 
-def _bracketed_bisect(residual, tol: float) -> SolveOutcome:
-    # Verify a sign change over [_BRACKET_LO, 1] before bisecting.
+def _bracketed_bisect(curve, coupling: float, tol: float) -> SolveOutcome:
+    """Bisect ``curve(z) - coupling`` to width ``tol``, if it changes sign over [_BRACKET_LO, 1]."""
+    coupling = _require_positive(coupling, "coupling")
+    tol = _require_positive(tol, "tol")
     lo, hi = _BRACKET_LO, 1.0
-    r_lo, r_hi = residual(lo), residual(hi)
+    r_lo, r_hi = curve(lo) - coupling, curve(hi) - coupling
     if r_lo == 0.0:
         return SolveOutcome(z=lo, no_root_side=None)
     if r_hi == 0.0:
@@ -192,7 +218,7 @@ def _bracketed_bisect(residual, tol: float) -> SolveOutcome:
         if hi - lo < tol:
             return SolveOutcome(z=0.5 * (lo + hi), no_root_side=None)
         mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
+        r_mid = curve(mid) - coupling
         if r_mid == 0.0:
             return SolveOutcome(z=mid, no_root_side=None)
         if (r_mid > 0.0) == (r_hi > 0.0):
@@ -213,9 +239,7 @@ def solve_bose(
     shallow dip of H below e).  Couplings at or below e return no-root
     "below"; couplings above H(1) return no-root "above".
     """
-    coupling = _require_positive(coupling, "coupling")
-    tol = _require_positive(tol, "tol")
-    return _bracketed_bisect(lambda z: bose_constraint_lhs(z, params) - coupling, tol)
+    return _bracketed_bisect(lambda z: bose_constraint_lhs(z, params), coupling, tol)
 
 
 def solve_fermi(
@@ -229,9 +253,7 @@ def solve_fermi(
     Phi increases strictly from e to its z = 1 endpoint value, so the root
     is unique whenever it exists.
     """
-    coupling = _require_positive(coupling, "coupling")
-    tol = _require_positive(tol, "tol")
-    return _bracketed_bisect(lambda z: fermi_constraint_lhs(z, series, params) - coupling, tol)
+    return _bracketed_bisect(lambda z: fermi_constraint_lhs(z, series, params), coupling, tol)
 
 
 def _threshold_momentum(name: str, b: float, denominator: float) -> float:
@@ -272,9 +294,8 @@ def condensation_fixed_point(
     The matching momentum is ``threshold_condensation(pair.b)``, since at
     z' = 1 the coupling is exactly e*b - 1.
     """
-    tol = _require_positive(tol, "tol")
     # g is strictly increasing with g(0+) = 0 and g(1) > 1: the root exists.
-    outcome = _bracketed_bisect(lambda z: bose_g32(z, params) - 1.0, tol)
+    outcome = _bracketed_bisect(lambda z: bose_g32(z, params), 1.0, tol)
     return FugacityPair.from_branch(outcome.z, "bose", params)
 
 
@@ -343,7 +364,7 @@ def classify_selfconsistent(
     Fermi variant; it is validated but changes no label.
     """
     coupling = coupling_from_momentum(p0)
-    _check_series(series)
+    _one_of(series, SERIES_VARIANTS, "series variant")
     label, flags, pair = _selfconsistent_label(coupling, _require_positive(tol, "tol"), params)
     return RegimeReport(float(p0), coupling, None, label, pair, flags)
 
@@ -363,7 +384,7 @@ def classify_both(
     """
     coupling = coupling_from_momentum(p0)
     paper, paper_flags = _paper_label(p0, _require_positive(window, "window"))
-    _check_series(series)
+    _one_of(series, SERIES_VARIANTS, "series variant")
     selfc, flags, pair = _selfconsistent_label(coupling, _require_positive(tol, "tol"), params)
     near = frozenset({FLAG_NEAR_THRESHOLD} if paper != selfc else ())
     return RegimeReport(float(p0), coupling, paper, selfc, pair, paper_flags | flags | near)

@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "SweepRow",
+    "SweepSpec",
+    "emit_csv",
+    "emit_json",
+    "occupation_curve",
+    "row_from_report",
+    "run_sweep",
+]
+
 import json
 import math
 from dataclasses import dataclass, fields
 from numbers import Integral
 
-from .errors import DomainError, _real, _set_positive
+from .errors import DomainError, _one_of, _real, _set_positive, _shown
 from .gas import occupation_bose, occupation_fermi
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams
 from .regime import (
-    FLAG_ORDER, RegimeReport, _check_series, classify_both, classify_paper, classify_selfconsistent
+    FLAG_ORDER, SERIES_VARIANTS, RegimeReport, classify_both, classify_paper,
+    classify_selfconsistent,
 )
 
 SWEEP_MODES = ("paper", "self", "both")
+OCCUPATION_BRANCHES = ("bose", "fermi")
 
 
 @dataclass(frozen=True)
@@ -36,9 +48,8 @@ class SweepSpec:
         bounds = _check_grid(p_min, self.p_max, self.steps, "p_min", "p_max")
         for name, value in zip(("p_min", "p_max"), bounds):
             object.__setattr__(self, name, value)
-        if self.mode not in SWEEP_MODES:
-            raise DomainError(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
-        _check_series(self.series)
+        _one_of(self.mode, SWEEP_MODES, "mode")
+        _one_of(self.series, SERIES_VARIANTS, "series variant")
         _set_positive(self, "window", "tol")
 
 
@@ -87,7 +98,7 @@ def row_from_report(report: RegimeReport) -> SweepRow:
 def _check_grid(lo, hi, steps: int, lo_name: str, hi_name: str) -> tuple[float, float]:
     """The grid bounds as floats; DomainError when no finite grid can be built from them."""
     if not (isinstance(steps, Integral) and steps >= 2):
-        raise DomainError(f"steps must be an integer of at least 2, got {steps!r}")
+        raise DomainError(f"steps must be an integer of at least 2, got {_shown(steps)}")
     _real(steps, "steps")  # the grid divides by steps - 1 as a float
     lo, hi = _real(lo, lo_name), _real(hi, hi_name)
     for name, value in ((lo_name, lo), (hi_name, hi)):
@@ -180,10 +191,6 @@ def occupation_curve(
     SingularityError just as the point evaluation does.
     """
     lo, hi = _check_grid(beta_eps_min, beta_eps_max, steps, "beta_eps_min", "beta_eps_max")
-    if branch == "bose":
-        occupation = occupation_bose
-    elif branch == "fermi":
-        occupation = occupation_fermi
-    else:
-        raise DomainError(f"branch must be 'bose' or 'fermi', got {branch!r}")
+    _one_of(branch, OCCUPATION_BRANCHES, "branch")
+    occupation = occupation_bose if branch == "bose" else occupation_fermi
     return [(x, occupation(z, x)) for x in _inclusive_grid(lo, hi, steps)]

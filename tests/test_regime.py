@@ -710,6 +710,38 @@ def test_int_past_the_digit_limit_is_described(entry):
     assert str(err.value) == f"{name} must be a real number, got an int of 16610 bits"
 
 
+# Each refusal whose message shows the refused argument, with the wording
+# the message starts with.  repr cannot print the values below.
+SHOWN_REFUSALS = {
+    "SeriesParams-tolerance": ("tolerance ", lambda v: SeriesParams(tolerance=v)),
+    "SeriesParams-max_terms": ("max_terms ", lambda v: SeriesParams(max_terms=v)),
+    "SweepSpec-steps": ("steps ", lambda v: SweepSpec(1.0, 2.0, v)),
+    "SweepSpec-mode": ("unknown mode ", lambda v: SweepSpec(1.0, 2.0, 3, mode=v)),
+    "classify_selfconsistent-series": (
+        "unknown series variant ", lambda v: classify_selfconsistent(150.0, series=v)
+    ),
+    "occupation_curve-branch": ("unknown branch ", lambda v: occupation_curve(0.5, 0.0, 1.0, 3, branch=v)),
+    "FugacityPair.from_branch": ("unknown branch ", lambda v: FugacityPair.from_branch(0.5, v)),
+    "coupling_from_momentum": ("p0 ", coupling_from_momentum),
+    "bose_g32": ("z ", bose_g32),
+    "solve_bose": ("coupling ", solve_bose),
+}
+
+
+@pytest.mark.parametrize(
+    "value,shown",
+    [(-(10**5000), "an int of 16610 bits"), ([-(10**5000)], "a value of type list")],
+    ids=["huge-int", "list-of-huge-int"],
+)
+@pytest.mark.parametrize("entry", SHOWN_REFUSALS)
+def test_unprintable_argument_is_described(entry, value, shown):
+    start, call = SHOWN_REFUSALS[entry]
+    with pytest.raises(DomainError) as err:
+        call(value)
+    assert str(err.value).startswith(start)
+    assert shown in str(err.value)
+
+
 # Calls that take a numeric string as the float it spells, next to the same
 # call with that float.
 NUMERIC_STRING_CALLS = {
