@@ -22,7 +22,8 @@ from .errors import (
     QuadratureError,
     SingularityError,
     TruncationError,
-    _require_positive,
+    _POSITIVE,
+    _real,
 )
 from .polylog import SeriesParams, _branch_series
 from .regime import (
@@ -106,7 +107,7 @@ def _fill_settings(args: argparse.Namespace) -> None:
         if getattr(args, name) is None:
             setattr(args, name, default if env_value is None else env_value)
     args.params = SeriesParams(tolerance=args.tolerance, max_terms=args.max_terms)
-    _require_positive(args.window, "window")
+    _real(args.window, "window", _POSITIVE)
 
 
 # Each `polylog --kind`, with the series branch it evaluates.
@@ -144,7 +145,7 @@ def _threshold_rows(args: argparse.Namespace) -> list[tuple]:
             ("condensation", B_CONDENSATION_NOMINAL, P_CONDENSATION_NOMINAL, None),
             ("condensation-selfconsistent", fixed.b, threshold_condensation(fixed.b), fixed.z),
         ]
-    _require_positive(b, "b")
+    _real(b, "b", _POSITIVE)
     # Condensation first: for a b where both refuse, its message is the one shown.
     condensation = threshold_condensation(b) if math.e * b > 1.0 else None
     return [("dilution", b, threshold_dilution(b), None), ("condensation", b, condensation, None)]

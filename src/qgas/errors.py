@@ -6,6 +6,7 @@ failures (series truncation, quadrature, root bracketing).
 """
 
 import math
+import sys
 
 __all__ = [
     "ConvergenceError",
@@ -60,19 +61,29 @@ def _shown(value) -> str:
         return f"a value of type {type(value).__name__}"
 
 
-def _real(value, name: str) -> float:
-    """``value`` as a float; DomainError when it is not a real number."""
+# Named ranges for _real, as (lowest, highest, wording).  A value passes when
+# lowest <= value <= highest, which NaN never does.  An open end at zero is
+# the smallest positive double, and "finite" bounds by the largest double.
+_POSITIVE = (math.ulp(0.0), sys.float_info.max, "be positive and finite")
+_NONNEGATIVE = (0.0, sys.float_info.max, "be nonnegative and finite")
+_FINITE = (-sys.float_info.max, sys.float_info.max, "be finite")
+_UNIT = (0.0, 1.0, "lie in [0, 1]")
+_UNIT_NO_ZERO = (math.ulp(0.0), 1.0, "lie in (0, 1]")
+_ABOVE_ZERO = (math.ulp(0.0), math.inf, "be positive")
+
+
+def _real(value, name: str, bounds: tuple[float, float, str] | None = None) -> float:
+    """``value`` as a float; DomainError when it is not a real number or lies outside ``bounds``.
+
+    ``bounds`` is one of the named ranges above; the refusal reads
+    ``"<name> must <wording>, got <float>"``.
+    """
     try:
-        return float(value)
+        value = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be a real number, got {_shown(value)}") from exc
-
-
-def _require_positive(value, name: str) -> float:
-    """``value`` as a float; DomainError unless it is positive and finite."""
-    value = _real(value, name)
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    if bounds is not None and not bounds[0] <= value <= bounds[1]:
+        raise DomainError(f"{name} must {bounds[2]}, got {value!r}")
     return value
 
 
@@ -85,4 +96,4 @@ def _one_of(value, choices: tuple, what: str) -> None:
 def _set_positive(instance, *names: str) -> None:
     """Check each named field of a frozen dataclass and store it as a float."""
     for name in names:
-        object.__setattr__(instance, name, _require_positive(getattr(instance, name), name))
+        object.__setattr__(instance, name, _real(getattr(instance, name), name, _POSITIVE))

@@ -26,16 +26,10 @@ __all__ = [
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularityError, _real, _require_positive, _set_positive
-from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams, _branch_series, _checked_z
-
-
-def _nonnegative(value: float, name: str) -> float:
-    """``value`` as a float; DomainError unless it is nonnegative and finite."""
-    value = _real(value, name)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise DomainError(f"{name} must be nonnegative and finite, got {value!r}")
-    return value
+from .errors import (
+    _FINITE, _NONNEGATIVE, _POSITIVE, _UNIT, DomainError, SingularityError, _real, _set_positive,
+)
+from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams, _branch_series
 
 
 def _derived(name: str, compute) -> float:
@@ -44,7 +38,7 @@ def _derived(name: str, compute) -> float:
         value = compute()
     except (OverflowError, ZeroDivisionError):  # a power overflowed, or a divisor underflowed to 0
         value = math.inf
-    return _require_positive(value, name)
+    return _real(value, name, _POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,7 @@ class FugacityPair:
 
     def __post_init__(self):
         for name in ("z", "z_prime"):
-            object.__setattr__(self, name, _nonnegative(getattr(self, name), name))
+            object.__setattr__(self, name, _real(getattr(self, name), name, _NONNEGATIVE))
         _set_positive(self, "b")
         if self.z > 0.0 and abs(self.z_prime - self.z * self.b) > 1e-12 * max(1.0, self.z_prime):
             raise DomainError(
@@ -118,8 +112,8 @@ class NormalizationScenario:
 
     @classmethod
     def from_totals(cls, total_count: float, volume: float) -> "NormalizationScenario":
-        total_count = _require_positive(total_count, "total_count")
-        volume = _require_positive(volume, "volume")
+        total_count = _real(total_count, "total_count", _POSITIVE)
+        volume = _real(volume, "volume", _POSITIVE)
         return cls(total_count=total_count, volume=volume, specific_volume=volume / total_count)
 
 
@@ -130,8 +124,8 @@ def occupation_bose(z: float, beta_eps: float) -> float:
     is a genuine singularity (macroscopic ground-state occupation) and
     raises rather than returning an infinity.
     """
-    z = _checked_z(z)
-    beta_eps = _nonnegative(beta_eps, "beta_eps")
+    z = _real(z, "z", _UNIT)
+    beta_eps = _real(beta_eps, "beta_eps", _NONNEGATIVE)
     if z == 0.0:
         return 0.0
     # 1/(exp(beta_eps)/z - 1) = 1/expm1(beta_eps - ln z); expm1 keeps full
@@ -153,10 +147,8 @@ def occupation_fermi(z: float, beta_eps: float) -> float:
 
     z may exceed 1 on this branch and beta_eps may be negative.
     """
-    z = _nonnegative(z, "z")
-    beta_eps = _real(beta_eps, "beta_eps")
-    if not math.isfinite(beta_eps):
-        raise DomainError(f"beta_eps must be finite, got {beta_eps!r}")
+    z = _real(z, "z", _NONNEGATIVE)
+    beta_eps = _real(beta_eps, "beta_eps", _FINITE)
     if z == 0.0:
         return 0.0
     if beta_eps >= 0.0:
@@ -172,7 +164,7 @@ def mono_energetic_state(p0: float, units: NaturalUnits = DEFAULT_UNITS) -> Mono
     kT = p0**2/(2m) and lambda = sqrt(4*pi)*hbar/p0; beta*eps is exactly 1
     by construction.
     """
-    p0 = _require_positive(p0, "p0")
+    p0 = _real(p0, "p0", _POSITIVE)
     temperature = _derived("temperature", lambda: p0 * p0 / (2.0 * units.m * units.k))
     wavelength = _derived("thermal_wavelength", lambda: math.sqrt(4.0 * math.pi) * units.hbar / p0)
     return MonoEnergeticState(
@@ -185,8 +177,8 @@ def mono_energetic_state(p0: float, units: NaturalUnits = DEFAULT_UNITS) -> Mono
 
 def reduced_fugacity(thermal_wavelength: float, specific_volume: float) -> float:
     """Degeneracy ratio z' = lambda**3 / v."""
-    thermal_wavelength = _require_positive(thermal_wavelength, "thermal_wavelength")
-    specific_volume = _require_positive(specific_volume, "specific_volume")
+    thermal_wavelength = _real(thermal_wavelength, "thermal_wavelength", _POSITIVE)
+    specific_volume = _real(specific_volume, "specific_volume", _POSITIVE)
     return _derived("z_prime", lambda: thermal_wavelength ** 3 / specific_volume)
 
 
@@ -209,8 +201,8 @@ def specific_volume_from_constraint(
     v = (e/z - 1) * hbar**3 / (4*pi*p0**2).  Valid for 0 < z < e, where the
     occupation is positive.
     """
-    p0 = _require_positive(p0, "p0")
-    z = _require_positive(z, "z")
+    p0 = _real(p0, "p0", _POSITIVE)
+    z = _real(z, "z", _POSITIVE)
     factor = math.e / z - 1.0
     if factor <= 0.0:
         raise DomainError(f"z must be below e for a positive occupation, got {z!r}")

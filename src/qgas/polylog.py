@@ -38,7 +38,7 @@ __all__ = [
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, QuadratureError, TruncationError, _one_of, _real, _shown
+from .errors import _UNIT, DomainError, QuadratureError, TruncationError, _one_of, _real, _shown
 
 # Value of the Bose series at z = 1 (Riemann zeta at 3/2), the supremum of
 # bose_g32 on [0, 1].
@@ -163,13 +163,6 @@ def _check_term_cap(z: float, params: SeriesParams, alternating: bool) -> None:
     )
 
 
-def _checked_z(z: float) -> float:
-    z = _real(z, "z")
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"z must lie in [0, 1], got {z!r}")
-    return z
-
-
 def bose_g32(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
     """Bose order-3/2 polylogarithm ``sum_{k>=1} z**k / k**1.5``.
 
@@ -200,7 +193,7 @@ def bose_g32(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
         sum of the first ``max_terms`` terms and that last term.  Near z = 1
         no cap is enforced.
     """
-    z = _checked_z(z)
+    z = _real(z, "z", _UNIT)
     if z == 0.0:
         return 0.0
     _check_term_cap(z, params, alternating=False)
@@ -216,7 +209,7 @@ def fermi_f32_full(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> fl
     truncation contract as :func:`bose_g32`; a TruncationError carries the
     alternating partial sum.
     """
-    z = _checked_z(z)
+    z = _real(z, "z", _UNIT)
     if z == 0.0:
         return 0.0
     _check_term_cap(z, params, alternating=True)
@@ -230,7 +223,7 @@ def fermi_f32_truncated(z: float) -> float:
     Exact arithmetic, no truncation parameters.  Differs from
     :func:`fermi_f32_full` by at most ``z**4 / 8``.
     """
-    z = _checked_z(z)
+    z = _real(z, "z", _UNIT)
     return z - z * z * 0.5 ** 1.5 + z * z * z * 3.0 ** -1.5
 
 
@@ -266,7 +259,7 @@ def bose_g32_quadrature(z: float) -> float:
         If the step-1/16 and step-1/32 sums differ by more than 1e-9 in
         units of the latter.
     """
-    z = _checked_z(z)
+    z = _real(z, "z", _UNIT)
     if z == 0.0:
         return 0.0
     # Trapezoidal sums over the nodes t = k/32 in [-6, 4], for even and odd k.

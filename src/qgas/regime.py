@@ -54,7 +54,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConvergenceError, DomainError, _one_of, _real, _require_positive, _shown
+from .errors import _POSITIVE, _UNIT_NO_ZERO, ConvergenceError, DomainError, _one_of, _real, _shown
 from .gas import FugacityPair
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams, _branch_series, bose_g32
 
@@ -150,23 +150,15 @@ def coupling_from_momentum(p0: float) -> float:
     """Coupling K = (4*pi)**2.5 / p0 for momentum p0 > 0."""
     if not isinstance(p0, (int, float)):
         raise DomainError(f"p0 must be positive and finite, got {_shown(p0)}")
-    coupling = COUPLING_CONSTANT / _require_positive(p0, "p0")
+    coupling = COUPLING_CONSTANT / _real(p0, "p0", _POSITIVE)
     if math.isinf(coupling):
         raise DomainError(f"p0 is too small for a finite coupling (4*pi)**2.5 / p0, got {p0!r}")
     return coupling
 
 
-def _curve_z(z: float) -> float:
-    """``z`` as a float; DomainError unless it lies in (0, 1], where H and Phi are defined."""
-    z = _real(z, "z")
-    if not 0.0 < z <= 1.0:
-        raise DomainError(f"z must lie in (0, 1], got {z!r}")
-    return z
-
-
 def bose_constraint_lhs(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
     """H(z) = e*g(z)/z - g(z), the Bose side of the normalization relation."""
-    z = _curve_z(z)
+    z = _real(z, "z", _UNIT_NO_ZERO)
     g = bose_g32(z, params)
     if z == 1.0:
         return _H_AT_1
@@ -177,7 +169,7 @@ def fermi_constraint_lhs(
     z: float, series: str = "truncated", params: SeriesParams = DEFAULT_SERIES_PARAMS
 ) -> float:
     """Phi(z) = e*f(z)/z + f(z), the Fermi side of the normalization relation."""
-    z = _curve_z(z)
+    z = _real(z, "z", _UNIT_NO_ZERO)
     _one_of(series, SERIES_VARIANTS, "series variant")
     f = _branch_series(z, f"fermi-{series}", params)
     return math.e * f / z + f
@@ -187,7 +179,7 @@ def bose_residual(
     z: float, coupling: float, params: SeriesParams = DEFAULT_SERIES_PARAMS
 ) -> float:
     """Signed residual H(z) - K of the Bose self-consistency relation."""
-    return bose_constraint_lhs(z, params) - _require_positive(coupling, "coupling")
+    return bose_constraint_lhs(z, params) - _real(coupling, "coupling", _POSITIVE)
 
 
 def fermi_residual(
@@ -197,13 +189,13 @@ def fermi_residual(
     params: SeriesParams = DEFAULT_SERIES_PARAMS,
 ) -> float:
     """Signed residual Phi(z) - K of the Fermi self-consistency relation."""
-    return fermi_constraint_lhs(z, series, params) - _require_positive(coupling, "coupling")
+    return fermi_constraint_lhs(z, series, params) - _real(coupling, "coupling", _POSITIVE)
 
 
 def _bracketed_bisect(curve, coupling: float, tol: float) -> SolveOutcome:
     """Bisect ``curve(z) - coupling`` to width ``tol``, if it changes sign over [_BRACKET_LO, 1]."""
-    coupling = _require_positive(coupling, "coupling")
-    tol = _require_positive(tol, "tol")
+    coupling = _real(coupling, "coupling", _POSITIVE)
+    tol = _real(tol, "tol", _POSITIVE)
     lo, hi = _BRACKET_LO, 1.0
     r_lo, r_hi = curve(lo) - coupling, curve(hi) - coupling
     if r_lo == 0.0:
@@ -277,7 +269,7 @@ def threshold_condensation(b: float) -> float:
 
 def threshold_dilution(b: float) -> float:
     """Momentum (4*pi)**2.5 / (e*b) above which the gas is effectively dilute."""
-    b = _require_positive(b, "b")
+    b = _real(b, "b", _POSITIVE)
     return _threshold_momentum("dilution", b, math.e * b)
 
 
@@ -343,7 +335,7 @@ def classify_paper(p0: float, window: float = 0.01) -> RegimeReport:
     within twice either window carries the near_threshold flag.
     """
     coupling = coupling_from_momentum(p0)
-    label, flags = _paper_label(p0, _require_positive(window, "window"))
+    label, flags = _paper_label(p0, _real(window, "window", _POSITIVE))
     return RegimeReport(float(p0), coupling, label, None, None, flags)
 
 
@@ -365,7 +357,7 @@ def classify_selfconsistent(
     """
     coupling = coupling_from_momentum(p0)
     _one_of(series, SERIES_VARIANTS, "series variant")
-    label, flags, pair = _selfconsistent_label(coupling, _require_positive(tol, "tol"), params)
+    label, flags, pair = _selfconsistent_label(coupling, _real(tol, "tol", _POSITIVE), params)
     return RegimeReport(float(p0), coupling, None, label, pair, flags)
 
 
@@ -383,8 +375,8 @@ def classify_both(
     windows and the solved relation pull apart.
     """
     coupling = coupling_from_momentum(p0)
-    paper, paper_flags = _paper_label(p0, _require_positive(window, "window"))
+    paper, paper_flags = _paper_label(p0, _real(window, "window", _POSITIVE))
     _one_of(series, SERIES_VARIANTS, "series variant")
-    selfc, flags, pair = _selfconsistent_label(coupling, _require_positive(tol, "tol"), params)
+    selfc, flags, pair = _selfconsistent_label(coupling, _real(tol, "tol", _POSITIVE), params)
     near = frozenset({FLAG_NEAR_THRESHOLD} if paper != selfc else ())
     return RegimeReport(float(p0), coupling, paper, selfc, pair, paper_flags | flags | near)

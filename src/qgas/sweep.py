@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 from numbers import Integral
 
-from .errors import DomainError, _one_of, _real, _set_positive, _shown
+from .errors import _ABOVE_ZERO, _FINITE, DomainError, _one_of, _real, _set_positive, _shown
 from .gas import occupation_bose, occupation_fermi
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams
 from .regime import (
@@ -42,9 +42,7 @@ class SweepSpec:
     tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        p_min = _real(self.p_min, "p_min")
-        if not p_min > 0.0:
-            raise DomainError(f"p_min must be positive, got {p_min!r}")
+        p_min = _real(self.p_min, "p_min", _ABOVE_ZERO)
         bounds = _check_grid(p_min, self.p_max, self.steps, "p_min", "p_max")
         for name, value in zip(("p_min", "p_max"), bounds):
             object.__setattr__(self, name, value)
@@ -100,10 +98,9 @@ def _check_grid(lo, hi, steps: int, lo_name: str, hi_name: str) -> tuple[float, 
     if not (isinstance(steps, Integral) and steps >= 2):
         raise DomainError(f"steps must be an integer of at least 2, got {_shown(steps)}")
     _real(steps, "steps")  # the grid divides by steps - 1 as a float
+    # Both convert before either is tested: a non-number outranks an infinite bound.
     lo, hi = _real(lo, lo_name), _real(hi, hi_name)
-    for name, value in ((lo_name, lo), (hi_name, hi)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
+    lo, hi = _real(lo, lo_name, _FINITE), _real(hi, hi_name, _FINITE)
     if not hi > lo:
         raise DomainError(f"{hi_name} must exceed {lo_name}, got {lo_name}={lo!r} {hi_name}={hi!r}")
     if not math.isfinite(hi - lo):
