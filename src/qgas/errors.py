@@ -48,7 +48,11 @@ class QuadratureError(QgasError, ArithmeticError):
 
 
 class ConvergenceError(QgasError, ArithmeticError):
-    """A bracketing solver found a sign change but not a root within its iteration cap."""
+    """A bracketing solver found a sign change but cannot narrow the bracket to its tolerance.
+
+    Once the bracket's ends are adjacent doubles no midpoint lies strictly
+    between them, so a tolerance below their spacing cannot be met.
+    """
 
 
 def _shown(value) -> str:

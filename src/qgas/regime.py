@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import _POSITIVE, _UNIT_NO_ZERO, ConvergenceError, DomainError, _one_of, _real, _shown
@@ -73,7 +73,6 @@ _H_AT_1 = 4.488797090760637
 # Lower end of the root bracket; z = 0 itself is excluded because b and
 # the residuals are defined through g(z)/z.
 _BRACKET_LO = 1e-9
-_MAX_BISECTIONS = 200
 
 FLAG_OVERLAPS_FERMIONIC = "overlaps_fermionic_range"
 FLAG_NO_BOSE_ROOT = "no_bose_root"
@@ -89,6 +88,11 @@ FLAG_ORDER = (
 )
 
 SERIES_VARIANTS = ("full", "truncated")
+
+
+def _ordered_flags(flags) -> tuple[str, ...]:
+    """``flags`` in FLAG_ORDER, the one order in which reports and rows list them."""
+    return tuple(f for f in FLAG_ORDER if f in flags)
 
 
 class RegimeLabel(Enum):
@@ -144,6 +148,14 @@ class RegimeReport:
         if self.paper_label is None or self.selfconsistent_label is None:
             return None
         return self.paper_label != self.selfconsistent_label
+
+    def __repr__(self) -> str:
+        # A frozenset prints in string-hash order, which changes from one
+        # process to the next; list the flags in FLAG_ORDER instead.
+        shown = {f.name: repr(getattr(self, f.name)) for f in fields(self)}
+        flags = ", ".join(map(repr, _ordered_flags(self.flags)))
+        shown["flags"] = f"frozenset({{{flags}}})" if flags else "frozenset()"
+        return f"RegimeReport({', '.join(f'{name}={text}' for name, text in shown.items())})"
 
 
 def coupling_from_momentum(p0: float) -> float:
@@ -206,10 +218,13 @@ def _bracketed_bisect(curve, coupling: float, tol: float) -> SolveOutcome:
         return SolveOutcome(z=None, no_root_side="below")
     if r_lo < 0.0 and r_hi < 0.0:
         return SolveOutcome(z=None, no_root_side="above")
-    for _ in range(_MAX_BISECTIONS):
-        if hi - lo < tol:
-            return SolveOutcome(z=0.5 * (lo + hi), no_root_side=None)
+    while hi - lo >= tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent doubles: the bracket can shrink no further
+            raise ConvergenceError(
+                f"bisection cannot narrow [{lo!r}, {hi!r}] to width {tol!r}: "
+                "no double lies strictly between its ends"
+            )
         r_mid = curve(mid) - coupling
         if r_mid == 0.0:
             return SolveOutcome(z=mid, no_root_side=None)
@@ -217,9 +232,7 @@ def _bracketed_bisect(curve, coupling: float, tol: float) -> SolveOutcome:
             hi, r_hi = mid, r_mid
         else:
             lo = mid
-    raise ConvergenceError(
-        f"bisection did not reach width {tol!r} within {_MAX_BISECTIONS} iterations"
-    )
+    return SolveOutcome(z=0.5 * (lo + hi), no_root_side=None)
 
 
 def solve_bose(

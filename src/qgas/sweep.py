@@ -21,7 +21,7 @@ from .errors import _ABOVE_ZERO, _FINITE, DomainError, _one_of, _real, _set_posi
 from .gas import occupation_bose, occupation_fermi
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams
 from .regime import (
-    FLAG_ORDER, SERIES_VARIANTS, RegimeReport, classify_both, classify_paper,
+    SERIES_VARIANTS, RegimeReport, _ordered_flags, classify_both, classify_paper,
     classify_selfconsistent,
 )
 
@@ -89,7 +89,7 @@ def row_from_report(report: RegimeReport) -> SweepRow:
         z=pair.z if pair else None,
         z_prime=pair.z_prime if pair else None,
         b=pair.b if pair else None,
-        flags=tuple(f for f in FLAG_ORDER if f in report.flags),
+        flags=_ordered_flags(report.flags),
     )
 
 

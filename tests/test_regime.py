@@ -238,9 +238,25 @@ class TestSolveBose:
 
     def test_sub_ulp_tolerance_raises(self):
         # Below the spacing of doubles the bracket stops shrinking, so the
-        # bisection cap ends the solve.
+        # solve raises once its ends are adjacent doubles.
         with pytest.raises(ConvergenceError):
             solve_bose(4.0, tol=1e-17)
+
+    def test_sub_ulp_tolerance_stops_at_adjacent_doubles(self, monkeypatch):
+        # About 55 halvings take the bracket from [1e-9, 1] to adjacent
+        # doubles; the solve stops there instead of evaluating the same
+        # midpoint again.
+        seen = []
+
+        def counting(z, params):
+            seen.append(z)
+            return bose_constraint_lhs(z, params)
+
+        monkeypatch.setattr("qgas.regime.bose_constraint_lhs", counting)
+        message = r"^bisection cannot narrow \[\S+, \S+\] to width 1e-17: "
+        with pytest.raises(ConvergenceError, match=message):
+            solve_bose(4.0, tol=1e-17)
+        assert len(seen) <= 60
 
 
 class TestSolveFermi:
@@ -345,7 +361,7 @@ class TestFixedPoint:
 
     def test_sub_ulp_tolerance_ends(self):
         # Once the bracket ends are adjacent doubles its width stops
-        # shrinking; the bisection cap must end the loop.  A subprocess with
+        # shrinking; the bisection must then stop.  A subprocess with
         # a timeout turns a hang into a failure.
         probe = (
             "from qgas.errors import ConvergenceError\n"
@@ -592,6 +608,22 @@ class TestClassifyBoth:
                 momentum=report.momentum, coupling=report.coupling, paper_label=None,
                 selfconsistent_label=None, fugacity=None, flags=frozenset(), labels_differ=True,
             )
+
+    def test_repr_does_not_depend_on_the_hash_seed(self):
+        # A frozenset prints in string-hash order; the report lists its flags
+        # in FLAG_ORDER, so two processes with different seeds agree.
+        probe = "from qgas.regime import classify_both\nprint(repr(classify_both(210.0)))\n"
+        src = os.path.dirname(os.path.dirname(qgas.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        shown = [
+            subprocess.run(
+                [sys.executable, "-c", probe], env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            for seed in ("0", "2")
+        ]
+        assert shown[0] == shown[1]
+        assert "flags=frozenset({'no_bose_root', 'near_threshold'}))" in shown[0]
 
 
 @pytest.mark.parametrize("coupling", [2.75, 2.8911, 3.2, 4.0, 4.4])
