@@ -91,8 +91,11 @@ SERIES_VARIANTS = ("full", "truncated")
 
 
 def _ordered_flags(flags) -> tuple[str, ...]:
-    """``flags`` in FLAG_ORDER, the one order in which reports and rows list them."""
-    return tuple(f for f in FLAG_ORDER if f in flags)
+    """``flags`` in FLAG_ORDER, the one order in which reports and rows list them.
+
+    A flag outside FLAG_ORDER, which no classifier sets, follows in sorted order.
+    """
+    return tuple(f for f in FLAG_ORDER if f in flags) + tuple(sorted(set(flags) - set(FLAG_ORDER)))
 
 
 class RegimeLabel(Enum):

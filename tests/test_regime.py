@@ -6,6 +6,7 @@ tests below pin that behaviour deliberately instead of assuming a clean
 monotone picture.
 """
 
+import dataclasses
 import math
 import os
 import re
@@ -52,7 +53,7 @@ from qgas.regime import (
     threshold_condensation,
     threshold_dilution,
 )
-from qgas.sweep import SweepSpec, occupation_curve
+from qgas.sweep import SweepSpec, occupation_curve, row_from_report
 
 # Frozen references (40-digit arithmetic, rounded to double).
 H_AT_1 = 4.488797090760637  # (e - 1) * zeta(3/2)
@@ -624,6 +625,13 @@ class TestClassifyBoth:
         ]
         assert shown[0] == shown[1]
         assert "flags=frozenset({'no_bose_root', 'near_threshold'}))" in shown[0]
+
+    def test_flag_outside_the_order_is_kept(self):
+        # No classifier sets one, but a hand-built report neither hides nor drops it.
+        flags = frozenset({"custom", FLAG_NEAR_THRESHOLD})
+        report = dataclasses.replace(classify_both(210.0), flags=flags)
+        assert repr(report).endswith("flags=frozenset({'near_threshold', 'custom'}))")
+        assert row_from_report(report).flags == (FLAG_NEAR_THRESHOLD, "custom")
 
 
 @pytest.mark.parametrize("coupling", [2.75, 2.8911, 3.2, 4.0, 4.4])
