@@ -48,11 +48,7 @@ class QuadratureError(QgasError, ArithmeticError):
 
 
 class ConvergenceError(QgasError, ArithmeticError):
-    """A bracketing solver found a sign change but cannot narrow the bracket to its tolerance.
-
-    Once the bracket's ends are adjacent doubles no midpoint lies strictly
-    between them, so a tolerance below their spacing cannot be met.
-    """
+    """A bisection bracket reached adjacent doubles while still wider than its tolerance."""
 
 
 def _shown(value) -> str:

@@ -91,10 +91,7 @@ SERIES_VARIANTS = ("full", "truncated")
 
 
 def _ordered_flags(flags) -> tuple[str, ...]:
-    """``flags`` in FLAG_ORDER, the one order in which reports and rows list them.
-
-    A flag outside FLAG_ORDER, which no classifier sets, follows in sorted order.
-    """
+    """``flags`` in FLAG_ORDER, then any flag that no classifier sets, sorted."""
     return tuple(f for f in FLAG_ORDER if f in flags) + tuple(sorted(set(flags) - set(FLAG_ORDER)))
 
 
@@ -153,12 +150,10 @@ class RegimeReport:
         return self.paper_label != self.selfconsistent_label
 
     def __repr__(self) -> str:
-        # A frozenset prints in string-hash order, which changes from one
-        # process to the next; list the flags in FLAG_ORDER instead.
-        shown = {f.name: repr(getattr(self, f.name)) for f in fields(self)}
+        # The dataclass repr, but a frozenset prints in string-hash order, which varies by process.
+        shown = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.name != "flags"]
         flags = ", ".join(map(repr, _ordered_flags(self.flags)))
-        shown["flags"] = f"frozenset({{{flags}}})" if flags else "frozenset()"
-        return f"RegimeReport({', '.join(f'{name}={text}' for name, text in shown.items())})"
+        return f"RegimeReport({', '.join(shown)}, flags=frozenset({flags and '{' + flags + '}'}))"
 
 
 def coupling_from_momentum(p0: float) -> float:
