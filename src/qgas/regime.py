@@ -92,7 +92,8 @@ SERIES_VARIANTS = ("full", "truncated")
 
 def _ordered_flags(flags) -> tuple[str, ...]:
     """``flags`` in FLAG_ORDER, then any flag that no classifier sets, sorted."""
-    return tuple(f for f in FLAG_ORDER if f in flags) + tuple(sorted(set(flags) - set(FLAG_ORDER)))
+    known = tuple(f for f in FLAG_ORDER if f in flags)
+    return known if len(known) == len(flags) else known + tuple(sorted(set(flags) - set(FLAG_ORDER)))
 
 
 class RegimeLabel(Enum):
