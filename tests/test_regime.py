@@ -699,24 +699,35 @@ def test_positive_and_finite_refusal(entry, value):
 
 
 # A real argument outside its range, with the exact refusal it draws.
-RANGE_REFUSALS = [
-    (lambda: bose_g32(1.5), "z must lie in [0, 1], got 1.5"),
-    (lambda: fermi_f32_truncated(-1.0), "z must lie in [0, 1], got -1.0"),
-    (lambda: bose_g32_quadrature(math.nan), "z must lie in [0, 1], got nan"),
-    (lambda: bose_constraint_lhs(0.0), "z must lie in (0, 1], got 0.0"),
-    (lambda: fermi_constraint_lhs(1.5), "z must lie in (0, 1], got 1.5"),
-    (lambda: occupation_bose(0.5, -1.0), "beta_eps must be nonnegative and finite, got -1.0"),
-    (lambda: occupation_fermi(-1.0, 1.0), "z must be nonnegative and finite, got -1.0"),
-    (lambda: occupation_fermi(0.5, math.inf), "beta_eps must be finite, got inf"),
-    (lambda: FugacityPair(0.5, -1.0, 1.0), "z_prime must be nonnegative and finite, got -1.0"),
-    (lambda: SweepSpec(-1.0, 2.0, 3), "p_min must be positive, got -1.0"),
-    (lambda: SweepSpec(1.0, math.nan, 3), "p_max must be finite, got nan"),
-    (lambda: solve_bose(3.0, tol=0.0), "tol must be positive and finite, got 0.0"),
-]
+RANGE_REFUSALS = {
+    "bose_g32": (lambda: bose_g32(1.5), "z must lie in [0, 1], got 1.5"),
+    "fermi_f32_truncated": (lambda: fermi_f32_truncated(-1.0), "z must lie in [0, 1], got -1.0"),
+    "bose_g32_quadrature": (lambda: bose_g32_quadrature(math.nan), "z must lie in [0, 1], got nan"),
+    "bose_constraint_lhs": (lambda: bose_constraint_lhs(0.0), "z must lie in (0, 1], got 0.0"),
+    "fermi_constraint_lhs": (lambda: fermi_constraint_lhs(1.5), "z must lie in (0, 1], got 1.5"),
+    "occupation_bose-beta_eps": (
+        lambda: occupation_bose(0.5, -1.0), "beta_eps must be nonnegative and finite, got -1.0"
+    ),
+    "occupation_fermi-z": (
+        lambda: occupation_fermi(-1.0, 1.0), "z must be nonnegative and finite, got -1.0"
+    ),
+    "occupation_fermi-beta_eps": (
+        lambda: occupation_fermi(0.5, math.inf), "beta_eps must be finite, got inf"
+    ),
+    "FugacityPair-z_prime": (
+        lambda: FugacityPair(0.5, -1.0, 1.0), "z_prime must be nonnegative and finite, got -1.0"
+    ),
+    "SweepSpec-p_min": (lambda: SweepSpec(-1.0, 2.0, 3), "p_min must be positive, got -1.0"),
+    "SweepSpec-p_max": (lambda: SweepSpec(1.0, math.nan, 3), "p_max must be finite, got nan"),
+    "solve_bose-tol": (
+        lambda: solve_bose(3.0, tol=0.0), "tol must be positive and finite, got 0.0"
+    ),
+}
 
 
-@pytest.mark.parametrize("call, message", RANGE_REFUSALS, ids=[m for _, m in RANGE_REFUSALS])
-def test_range_refusal_message(call, message):
+@pytest.mark.parametrize("entry", RANGE_REFUSALS)
+def test_range_refusal_message(entry):
+    call, message = RANGE_REFUSALS[entry]
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == message
