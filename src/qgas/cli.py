@@ -37,7 +37,7 @@ from .regime import (
     threshold_dilution,
 )
 from .sweep import (
-    OCCUPATION_BRANCHES, SWEEP_MODES, SweepSpec, _classify, _csv_cell, _csv_table, _json_text,
+    OCCUPATION_BRANCHES, SWEEP_MODES, SweepSpec, _classify, _csv_cell, _json_text, _table_text,
     emit_csv, emit_json, occupation_curve, row_from_report, run_sweep,
 )
 
@@ -119,21 +119,14 @@ _THRESHOLD_COLUMNS = ("name", "b", "p0", "z")
 _OCCUPATION_COLUMNS = ("beta_eps", "occupation")
 
 
-def _table_text(fmt: str, columns: tuple[str, ...], rows: list[tuple], text: str) -> str:
-    """``rows`` as a JSON array of objects keyed by ``columns``, as CSV, or else ``text``."""
-    if fmt == "json":
-        return _json_text([dict(zip(columns, row)) for row in rows])
-    if fmt == "csv":
-        return _csv_table(columns, rows)
-    return text
-
-
 def _cmd_polylog(args: argparse.Namespace) -> str:
     value = _branch_series(args.z, _POLYLOG_KINDS[args.kind], args.params)
-    row = (args.kind, args.z, value)
+    if args.format == "text":
+        return f"{value!r}\n"
+    record = dict(zip(_POLYLOG_COLUMNS, (args.kind, args.z, value)))
     if args.format == "json":
-        return _json_text(dict(zip(_POLYLOG_COLUMNS, row)))
-    return _table_text(args.format, _POLYLOG_COLUMNS, [row], f"{value!r}\n")
+        return _json_text(record)
+    return _table_text("csv", _POLYLOG_COLUMNS, [record])
 
 
 def _threshold_rows(args: argparse.Namespace) -> list[tuple]:
@@ -153,12 +146,14 @@ def _threshold_rows(args: argparse.Namespace) -> list[tuple]:
 
 def _cmd_thresholds(args: argparse.Namespace) -> str:
     rows = _threshold_rows(args)
-    text = "".join(
+    if args.format != "text":
+        records = [dict(zip(_THRESHOLD_COLUMNS, row)) for row in rows]
+        return _table_text(args.format, _THRESHOLD_COLUMNS, records)
+    return "".join(
         f"{name}: b={b!r} p0={'undefined' if p0 is None else repr(p0)}"
         + ("" if z is None else f" z={z!r}") + "\n"
         for name, b, p0, z in rows
     )
-    return _table_text(args.format, _THRESHOLD_COLUMNS, rows, text)
 
 
 def _cmd_classify(args: argparse.Namespace) -> str:
@@ -167,7 +162,7 @@ def _cmd_classify(args: argparse.Namespace) -> str:
     if args.format == "csv":
         return emit_csv([row])
     if args.format == "json":
-        return _json_text({**row.to_record(), "labels_differ": report.labels_differ})
+        return _json_text({**vars(row), "labels_differ": report.labels_differ})
     # One line per SweepRow field that has a value; "-" stands for no flags.
     lines = [
         f"{name}: {_csv_cell(value) or '-'}"
@@ -214,8 +209,10 @@ def _cmd_occupation(args: argparse.Namespace) -> str:
     curve = occupation_curve(
         args.z, args.beta_eps_min, args.beta_eps_max, args.steps, args.branch
     )
-    text = "".join(f"{x!r} {n!r}\n" for x, n in curve)
-    return _table_text(args.format, _OCCUPATION_COLUMNS, curve, text)
+    if args.format != "text":
+        records = [dict(zip(_OCCUPATION_COLUMNS, point)) for point in curve]
+        return _table_text(args.format, _OCCUPATION_COLUMNS, records)
+    return "".join(f"{x!r} {n!r}\n" for x, n in curve)
 
 
 def _build_parser() -> _Parser:

@@ -122,7 +122,9 @@ def occupation_bose(z: float, beta_eps: float) -> float:
 
     Requires 0 <= z <= 1 and beta_eps >= 0.  The point z = 1, beta_eps = 0
     is a genuine singularity (macroscopic ground-state occupation) and
-    raises rather than returning an infinity.
+    raises rather than returning an infinity, as do the points next to it
+    where the occupation exceeds the largest double (z = 1 and
+    beta_eps <= 5.6e-309).
     """
     z = _real(z, "z", _UNIT)
     beta_eps = _real(beta_eps, "beta_eps", _NONNEGATIVE)
@@ -134,7 +136,7 @@ def occupation_bose(z: float, beta_eps: float) -> float:
     if w > 700.0:  # expm1 would overflow; occupation is exp(-w) to double precision
         return math.exp(-w)
     denom = math.expm1(w)
-    if denom <= 0.0:
+    if denom <= 0.0 or 1.0 / denom == math.inf:
         raise SingularityError(
             f"Bose occupation diverges at z={z!r}, beta_eps={beta_eps!r} "
             "(condensation singularity at z=1, beta_eps=0)"

@@ -65,13 +65,9 @@ class SweepRow:
     b: float | None
     flags: tuple[str, ...]
 
-    def to_record(self) -> dict:
-        """The row as a JSON-ready dict: keys in column order, flags as a list."""
-        return {**vars(self), "flags": list(self.flags)}
 
-
-# The CSV columns and JSON keys, in this order, are the fields of SweepRow;
-# flags comes last.
+# The CSV columns and JSON keys, in this order, are the fields of SweepRow, which
+# vars(row) lists in the same declaration order; flags comes last.
 _COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
@@ -148,29 +144,31 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _csv_table(header, rows) -> str:
-    """Deterministic CSV of ``header`` and the cell sequences in ``rows``.
-
-    LF line ends and a trailing newline; no quoting, because no cell holds a
-    comma, a quote or a line break.
-    """
-    return "".join(",".join(map(_csv_cell, cells)) + "\n" for cells in (header, *rows))
-
-
 def _json_text(payload) -> str:
     """Deterministic JSON: two-space indent, keys in insertion order, trailing newline."""
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _table_text(fmt: str, columns: tuple[str, ...], records) -> str:
+    """``records``, dicts keyed by ``columns`` in that order, as a JSON array of objects or as CSV.
+
+    The CSV has a header, LF line ends and a trailing newline; no quoting,
+    because no cell holds a comma, a quote or a line break.
+    """
+    if fmt == "json":
+        return _json_text(list(records))
+    lines = (columns, *map(dict.values, records))
+    return "".join(",".join(map(_csv_cell, cells)) + "\n" for cells in lines)
+
+
 def emit_csv(rows: list[SweepRow]) -> str:
     """Render rows as deterministic CSV (LF line ends, trailing newline)."""
-    # vars() lists a dataclass's fields in declaration order, the order of _COLUMNS.
-    return _csv_table(_COLUMNS, (vars(row).values() for row in rows))
+    return _table_text("csv", _COLUMNS, map(vars, rows))
 
 
 def emit_json(rows: list[SweepRow]) -> str:
     """Render rows as a JSON array of objects in column order."""
-    return _json_text([row.to_record() for row in rows])
+    return _table_text("json", _COLUMNS, map(vars, rows))
 
 
 def occupation_curve(

@@ -312,6 +312,16 @@ class TestOccupation:
         assert out == ""
         assert "beta_eps" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_occupation_is_domain(self, cli, fmt):
+        # At z = 1 the occupation 1/expm1(1e-310) exceeds the largest double.
+        code, out, err = cli(
+            "occupation", "--z", "1", "--branch", "bose",
+            "--beta-eps-min", "1e-310", "--beta-eps-max", "1", "--steps", "2", "--format", fmt,
+        )
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "beta_eps=1e-310" in err
+
     def test_csv(self, cli):
         code, out, _ = cli(
             "occupation", "--z", "0.5", "--beta-eps-min", "0", "--beta-eps-max", "2",
@@ -603,3 +613,71 @@ class TestContract:
         ):
             code, out, _ = cli(*argv)
             assert (code, out) == (EXIT_DOMAIN, ""), argv
+
+
+# Edge values for every real argument: signed zero, subnormals, the ends of
+# the fugacity range and their float neighbours, e, a mid momentum and the
+# top of the double range.
+_EDGES = (
+    "0", "-0.0", "5e-324", "1e-310", "1e-300", "0.19", "0.5", "0.999", "0.9999999999999999",
+    "1", "1.0000000000000002", repr(math.e), "150", "1e300", "1.7e308",
+)
+
+
+def _scan_cases(command):
+    """The argument lists of one subcommand over the edge values."""
+    if command == "polylog":
+        return [("--kind", kind, "--z", z) for kind in ("bose", "fermi", "fermi3") for z in _EDGES]
+    if command == "thresholds":
+        return [(), *(("--b", b) for b in _EDGES)]
+    if command == "classify":
+        return [("--p0", p0, "--mode", mode) for mode in ("paper", "self", "both") for p0 in _EDGES]
+    if command == "sweep":
+        # Bounds that do not ascend are a usage error before any evaluation.
+        return [
+            ("--p-min", lo, "--p-max", hi, "--steps", "3")
+            for lo in _EDGES for hi in _EDGES if float(lo) < float(hi)
+        ]
+    # The grid starts on each edge, so its first point is the edge itself.
+    return [
+        ("--z", z, "--branch", branch, "--beta-eps-min", lo, "--beta-eps-max", "1.7e308",
+         "--steps", "3")
+        for branch in ("bose", "fermi") for z in _EDGES for lo in _EDGES
+    ]
+
+
+def _nonfinite(fmt, out):
+    """Why ``out`` is not strict, finite JSON or CSV, or "" when it is."""
+    if fmt == "json":
+        try:
+            json.loads(out, parse_constant=_reject_constant)
+        except ValueError as exc:
+            return str(exc)
+        return ""
+    for cell in out.replace("\n", ",").split(","):
+        try:
+            number = float(cell)
+        except ValueError:
+            continue
+        if not math.isfinite(number):
+            return f"cell {cell!r}"
+    return ""
+
+
+class TestStrictNumbers:
+    """Machine-readable output never holds a non-finite number, on any edge input."""
+
+    @pytest.mark.parametrize(
+        "command", ["polylog", "thresholds", "classify", "sweep", "occupation"]
+    )
+    def test_no_nonfinite_output(self, cli, command):
+        failures = []
+        for args in _scan_cases(command):
+            for fmt in ("json", "csv"):
+                argv = (command, *args, "--format", fmt)
+                code, out, _ = cli(*argv)
+                if code not in (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_NUMERIC, EXIT_IO):
+                    failures.append(f"{' '.join(argv)}: exit {code}")
+                elif code == EXIT_OK and (reason := _nonfinite(fmt, out)):
+                    failures.append(f"{' '.join(argv)}: {reason}")
+        assert failures == []

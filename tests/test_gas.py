@@ -73,6 +73,24 @@ class TestOccupationBose:
         for n in range(1, 13):
             assert occupation_bose(1.0, 10.0**-n) > 10.0**n - 1.0
 
+    # The largest beta_eps at z = 1 whose occupation exceeds the largest double.
+    LAST_OVERFLOW = 5.562684646268003e-309
+
+    @pytest.mark.parametrize("beta_eps", [5e-324, 1e-310, LAST_OVERFLOW])
+    def test_overflowing_occupation_is_singular(self, beta_eps):
+        message = (
+            f"Bose occupation diverges at z=1.0, beta_eps={beta_eps!r} "
+            "(condensation singularity at z=1, beta_eps=0)"
+        )
+        with pytest.raises(SingularityError) as err:
+            occupation_bose(1.0, beta_eps)
+        assert str(err.value) == message
+
+    def test_largest_finite_occupations(self):
+        first_finite = math.nextafter(self.LAST_OVERFLOW, 1.0)
+        assert occupation_bose(1.0, first_finite) == 1.7976931348623143e308
+        assert occupation_bose(math.nextafter(1.0, 0.0), 0.0) == 9007199254740992.0
+
 
 class TestOccupationFermi:
     def test_symmetric_point(self):

@@ -234,6 +234,12 @@ class TestOccupationCurve:
             occupation_curve(1.0, 0.0, 1.0, 3, "bose")
         assert "beta_eps=0.0" in str(err.value)
 
+    @pytest.mark.parametrize("beta_eps_min", [5e-324, 1e-310, 5.562684646268003e-309])
+    def test_overflowing_grid_point(self, beta_eps_min):
+        with pytest.raises(SingularityError) as err:
+            occupation_curve(1.0, beta_eps_min, 1.0, 2, "bose")
+        assert f"beta_eps={beta_eps_min!r}" in str(err.value)
+
     def test_fermi_tolerates_the_bose_singular_point(self):
         curve = occupation_curve(1.0, 0.0, 1.0, 2, "fermi")
         assert curve[0][1] == 0.5
