@@ -12,6 +12,7 @@ formats.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -215,6 +216,7 @@ def _cmd_occupation(args: argparse.Namespace) -> str:
     return "".join(f"{x!r} {n!r}\n" for x, n in curve)
 
 
+@functools.cache  # built once per process: building it takes longer than most main calls
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float, default=None)

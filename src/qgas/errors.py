@@ -93,7 +93,23 @@ def _one_of(value, choices: tuple, what: str) -> None:
         raise DomainError(f"unknown {what} {_shown(value)}, expected one of {choices}")
 
 
-def _set_positive(instance, *names: str) -> None:
-    """Check each named field of a frozen dataclass and store it as a float."""
-    for name in names:
-        object.__setattr__(instance, name, _real(getattr(instance, name), name, _POSITIVE))
+class _Record:
+    """A frozen record: ``__init__`` fills the instance dict once, with the fields in order."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{self.__class__.__qualname__}({shown})"

@@ -24,10 +24,9 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
-    _FINITE, _NONNEGATIVE, _POSITIVE, _UNIT, DomainError, SingularityError, _real, _set_positive,
+    _FINITE, _NONNEGATIVE, _POSITIVE, _UNIT, DomainError, SingularityError, _Record, _real,
 )
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams, _branch_series
 
@@ -41,47 +40,38 @@ def _derived(name: str, compute) -> float:
     return _real(value, name, _POSITIVE)
 
 
-@dataclass(frozen=True)
-class NaturalUnits:
+class NaturalUnits(_Record):
     """Unit system carried through the dimensional formulas."""
 
-    hbar: float = 1.0
-    m: float = 1.0
-    k: float = 1.0
-
-    def __post_init__(self):
-        _set_positive(self, "hbar", "m", "k")
+    def __init__(self, hbar: float = 1.0, m: float = 1.0, k: float = 1.0):
+        hbar, m = _real(hbar, "hbar", _POSITIVE), _real(m, "m", _POSITIVE)
+        vars(self).update(hbar=hbar, m=m, k=_real(k, "k", _POSITIVE))
 
 
 DEFAULT_UNITS = NaturalUnits()
 
 
-@dataclass(frozen=True)
-class MonoEnergeticState:
+class MonoEnergeticState(_Record):
     """Derived thermodynamic quantities for one shared momentum."""
 
-    momentum: float
-    temperature: float
-    thermal_wavelength: float
-    beta_eps: float
+    def __init__(
+        self, momentum: float, temperature: float, thermal_wavelength: float, beta_eps: float
+    ):
+        vars(self).update(
+            momentum=momentum, temperature=temperature, thermal_wavelength=thermal_wavelength,
+            beta_eps=beta_eps,
+        )
 
 
-@dataclass(frozen=True)
-class FugacityPair:
+class FugacityPair(_Record):
     """Fugacity z together with the reduced fugacity z' and their ratio b = z'/z."""
 
-    z: float
-    z_prime: float
-    b: float
-
-    def __post_init__(self):
-        for name in ("z", "z_prime"):
-            object.__setattr__(self, name, _real(getattr(self, name), name, _NONNEGATIVE))
-        _set_positive(self, "b")
-        if self.z > 0.0 and abs(self.z_prime - self.z * self.b) > 1e-12 * max(1.0, self.z_prime):
-            raise DomainError(
-                f"inconsistent pair: z_prime={self.z_prime!r} != z*b={self.z * self.b!r}"
-            )
+    def __init__(self, z: float, z_prime: float, b: float):
+        z, z_prime = _real(z, "z", _NONNEGATIVE), _real(z_prime, "z_prime", _NONNEGATIVE)
+        b = _real(b, "b", _POSITIVE)
+        if z > 0.0 and abs(z_prime - z * b) > 1e-12 * max(1.0, z_prime):
+            raise DomainError(f"inconsistent pair: z_prime={z_prime!r} != z*b={z * b!r}")
+        vars(self).update(z=z, z_prime=z_prime, b=b)
 
     @classmethod
     def from_branch(
@@ -95,20 +85,18 @@ class FugacityPair:
         return cls(z=z, z_prime=z_prime, b=z_prime / z)
 
 
-@dataclass(frozen=True)
-class NormalizationScenario:
+class NormalizationScenario(_Record):
     """Particle count, total volume and per-particle volume, kept consistent."""
 
-    total_count: float
-    volume: float
-    specific_volume: float
-
-    def __post_init__(self):
-        _set_positive(self, "total_count", "volume", "specific_volume")
-        if abs(self.specific_volume * self.total_count - self.volume) > 1e-12 * self.volume:
+    def __init__(self, total_count: float, volume: float, specific_volume: float):
+        total_count = _real(total_count, "total_count", _POSITIVE)
+        volume = _real(volume, "volume", _POSITIVE)
+        specific_volume = _real(specific_volume, "specific_volume", _POSITIVE)
+        if abs(specific_volume * total_count - volume) > 1e-12 * volume:
             raise DomainError(
                 "inconsistent scenario: specific_volume * total_count must equal volume"
             )
+        vars(self).update(total_count=total_count, volume=volume, specific_volume=specific_volume)
 
     @classmethod
     def from_totals(cls, total_count: float, volume: float) -> "NormalizationScenario":

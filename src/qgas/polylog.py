@@ -36,9 +36,10 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass
 
-from .errors import _UNIT, DomainError, QuadratureError, TruncationError, _one_of, _real, _shown
+from .errors import (
+    _UNIT, DomainError, QuadratureError, TruncationError, _Record, _one_of, _real, _shown,
+)
 
 # Value of the Bose series at z = 1 (Riemann zeta at 3/2), the supremum of
 # bose_g32 on [0, 1].
@@ -84,8 +85,7 @@ _ROBINSON_C = (
 )
 
 
-@dataclass(frozen=True)
-class SeriesParams:
+class SeriesParams(_Record):
     """Truncation controls of the direct series ``sum_k z**k / k**1.5``.
 
     ``max_terms`` caps the number of summed terms and ``tolerance`` is the
@@ -94,14 +94,15 @@ class SeriesParams:
     series would have converged within the cap (see :func:`bose_g32`).
     """
 
-    tolerance: float = 1e-12
-    max_terms: int = 100_000
+    tolerance = 1e-12
+    max_terms = 100_000
 
-    def __post_init__(self):
-        if not (isinstance(self.tolerance, float) and math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise DomainError(f"tolerance must be a positive finite float, got {_shown(self.tolerance)}")
-        if not (isinstance(self.max_terms, int) and self.max_terms >= 1):
-            raise DomainError(f"max_terms must be a positive integer, got {_shown(self.max_terms)}")
+    def __init__(self, tolerance: float = tolerance, max_terms: int = max_terms):
+        if not (isinstance(tolerance, float) and math.isfinite(tolerance) and tolerance > 0):
+            raise DomainError(f"tolerance must be a positive finite float, got {_shown(tolerance)}")
+        if not (isinstance(max_terms, int) and max_terms >= 1):
+            raise DomainError(f"max_terms must be a positive integer, got {_shown(max_terms)}")
+        vars(self).update(tolerance=tolerance, max_terms=max_terms)
 
 
 DEFAULT_SERIES_PARAMS = SeriesParams()

@@ -51,10 +51,11 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 
-from .errors import _POSITIVE, _UNIT_NO_ZERO, ConvergenceError, DomainError, _one_of, _real, _shown
+from .errors import (
+    _POSITIVE, _UNIT_NO_ZERO, ConvergenceError, DomainError, _Record, _one_of, _real, _shown,
+)
 from .gas import FugacityPair
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams, _branch_series, bose_g32
 
@@ -107,8 +108,7 @@ class RegimeLabel(Enum):
     OUT_OF_MODEL_RANGE = "OutOfModelRange"
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(_Record):
     """Result of a bracketed residual solve.
 
     Exactly one of the two fields is set: ``z`` on success, or
@@ -116,24 +116,26 @@ class SolveOutcome:
     window, "above" when it sits above it).
     """
 
-    z: float | None
-    no_root_side: str | None
+    def __init__(self, z: float | None, no_root_side: str | None):
+        vars(self).update(z=z, no_root_side=no_root_side)
 
     @property
     def found(self) -> bool:
         return self.z is not None
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(_Record):
     """Combined output of the regime classifiers for one momentum."""
 
-    momentum: float
-    coupling: float
-    paper_label: RegimeLabel | None
-    selfconsistent_label: RegimeLabel | None
-    fugacity: FugacityPair | None
-    flags: frozenset[str]
+    def __init__(
+        self, momentum: float, coupling: float, paper_label: RegimeLabel | None,
+        selfconsistent_label: RegimeLabel | None, fugacity: FugacityPair | None,
+        flags: frozenset[str],
+    ):
+        vars(self).update(
+            momentum=momentum, coupling=coupling, paper_label=paper_label,
+            selfconsistent_label=selfconsistent_label, fugacity=fugacity, flags=flags,
+        )
 
     @property
     def branch(self) -> str:
@@ -151,8 +153,8 @@ class RegimeReport:
         return self.paper_label != self.selfconsistent_label
 
     def __repr__(self) -> str:
-        # The dataclass repr, but a frozenset prints in string-hash order, which varies by process.
-        shown = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.name != "flags"]
+        # The record repr with flags in FLAG_ORDER: a frozenset prints in string-hash order.
+        shown = [f"{name}={value!r}" for name, value in vars(self).items() if name != "flags"]
         flags = ", ".join(map(repr, _ordered_flags(self.flags)))
         return f"RegimeReport({', '.join(shown)}, flags=frozenset({flags and '{' + flags + '}'}))"
 

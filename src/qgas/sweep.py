@@ -12,12 +12,10 @@ __all__ = [
     "run_sweep",
 ]
 
-import json
 import math
-from dataclasses import dataclass, fields
 from numbers import Integral
 
-from .errors import _ABOVE_ZERO, _FINITE, DomainError, _one_of, _real, _set_positive, _shown
+from .errors import _ABOVE_ZERO, _FINITE, _POSITIVE, DomainError, _Record, _one_of, _real, _shown
 from .gas import occupation_bose, occupation_fermi
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams
 from .regime import (
@@ -29,46 +27,46 @@ SWEEP_MODES = ("paper", "self", "both")
 OCCUPATION_BRANCHES = ("bose", "fermi")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Record):
     """Parameters of a linear momentum sweep."""
 
-    p_min: float
-    p_max: float
-    steps: int
-    mode: str = "both"
-    series: str = "truncated"
-    window: float = 0.01
-    tol: float = 1e-12
+    mode = "both"
+    series = "truncated"
+    window = 0.01
+    tol = 1e-12
 
-    def __post_init__(self) -> None:
-        p_min = _real(self.p_min, "p_min", _ABOVE_ZERO)
-        bounds = _check_grid(p_min, self.p_max, self.steps, "p_min", "p_max")
-        for name, value in zip(("p_min", "p_max"), bounds):
-            object.__setattr__(self, name, value)
-        _one_of(self.mode, SWEEP_MODES, "mode")
-        _one_of(self.series, SERIES_VARIANTS, "series variant")
-        _set_positive(self, "window", "tol")
+    def __init__(
+        self, p_min: float, p_max: float, steps: int, mode: str = mode, series: str = series,
+        window: float = window, tol: float = tol,
+    ):
+        p_min = _real(p_min, "p_min", _ABOVE_ZERO)
+        p_min, p_max = _check_grid(p_min, p_max, steps, "p_min", "p_max")
+        _one_of(mode, SWEEP_MODES, "mode")
+        _one_of(series, SERIES_VARIANTS, "series variant")
+        window, tol = _real(window, "window", _POSITIVE), _real(tol, "tol", _POSITIVE)
+        vars(self).update(
+            p_min=p_min, p_max=p_max, steps=steps, mode=mode, series=series, window=window, tol=tol
+        )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Record):
     """One classified grid point, flattened for serialization."""
 
-    p0: float
-    K: float
-    paper_label: str | None
-    selfconsistent_label: str | None
-    branch: str | None
-    z: float | None
-    z_prime: float | None
-    b: float | None
-    flags: tuple[str, ...]
+    def __init__(
+        self, p0: float, K: float, paper_label: str | None, selfconsistent_label: str | None,
+        branch: str | None, z: float | None, z_prime: float | None, b: float | None,
+        flags: tuple[str, ...],
+    ):
+        vars(self).update(
+            p0=p0, K=K, paper_label=paper_label, selfconsistent_label=selfconsistent_label,
+            branch=branch, z=z, z_prime=z_prime, b=b, flags=flags,
+        )
 
 
-# The CSV columns and JSON keys, in this order, are the fields of SweepRow, which
-# vars(row) lists in the same declaration order; flags comes last.
-_COLUMNS = tuple(f.name for f in fields(SweepRow))
+# The CSV columns and JSON keys, in order: the fields of SweepRow, as vars(row) lists them.
+_COLUMNS = (
+    "p0", "K", "paper_label", "selfconsistent_label", "branch", "z", "z_prime", "b", "flags"
+)
 
 
 def row_from_report(report: RegimeReport) -> SweepRow:
@@ -146,6 +144,7 @@ def _csv_cell(value) -> str:
 
 def _json_text(payload) -> str:
     """Deterministic JSON: two-space indent, keys in insertion order, trailing newline."""
+    import json  # on first use: the CSV and text paths never load it
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -598,6 +598,18 @@ class TestContract:
         assert (done.returncode, done.stderr) == (EXIT_OK, "")
         assert done.stdout.startswith("usage: qgas")
 
+    def test_import_loads_no_heavy_module(self):
+        # The records are plain classes, and JSON is loaded on first use.
+        heavy = "{'dataclasses', 'inspect', 'json'}"
+        probe = f"import sys, qgas.cli; print(sorted({heavy} & set(sys.modules)))"
+        src = os.path.dirname(os.path.dirname(qgas.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert done.stdout.strip() == "[]"
+
     def test_nonnumeric_flag_value_is_usage(self, cli):
         code, _, _ = cli("classify", "--p0", "many")
         assert code == EXIT_USAGE

@@ -6,7 +6,6 @@ tests below pin that behaviour deliberately instead of assuming a clean
 monotone picture.
 """
 
-import dataclasses
 import math
 import os
 import re
@@ -629,7 +628,7 @@ class TestClassifyBoth:
     def test_flag_outside_the_order_is_kept(self):
         # No classifier sets one, but a hand-built report neither hides nor drops it.
         flags = frozenset({"custom", FLAG_NEAR_THRESHOLD})
-        report = dataclasses.replace(classify_both(210.0), flags=flags)
+        report = RegimeReport(**{**vars(classify_both(210.0)), "flags": flags})
         assert repr(report).endswith("flags=frozenset({'near_threshold', 'custom'}))")
         assert row_from_report(report).flags == (FLAG_NEAR_THRESHOLD, "custom")
 
@@ -849,7 +848,7 @@ NUMERIC_STRING_CALLS = {
 
 @pytest.mark.parametrize("entry", NUMERIC_STRING_CALLS)
 def test_numeric_string_is_its_float(entry):
-    # repr tells 1.0 from 1 and "1": dataclasses store the floats they checked.
+    # repr tells 1.0 from 1 and "1": the records store the floats they checked.
     with_string, with_float = (call() for call in NUMERIC_STRING_CALLS[entry])
     assert with_string == with_float
     assert repr(with_string) == repr(with_float)
