@@ -9,8 +9,6 @@ Text output is human-oriented and may change; CSV and JSON are the stable
 formats.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import math

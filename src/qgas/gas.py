@@ -7,8 +7,6 @@ sqrt(4*pi)*hbar/p0.  Momenta are plain numbers in natural units
 (hbar = m = k = 1) unless other unit values are supplied.
 """
 
-from __future__ import annotations
-
 __all__ = [
     "DEFAULT_UNITS",
     "FugacityPair",

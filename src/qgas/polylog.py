@@ -21,8 +21,6 @@ check.  It exists as an independent cross-check route and deliberately
 shares no code with the evaluator.
 """
 
-from __future__ import annotations
-
 __all__ = [
     "DEFAULT_SERIES_PARAMS",
     "ETA_3_2",

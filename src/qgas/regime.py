@@ -23,8 +23,6 @@ couplings as OutOfModelRange without solving Phi(z) = K.  solve_fermi
 solves the Fermi relation for callers that ask for it.
 """
 
-from __future__ import annotations
-
 __all__ = [
     "COUPLING_CONSTANT",
     "FLAG_NEAR_THRESHOLD",

@@ -1,7 +1,5 @@
 """Momentum sweeps over the regime classifiers and tabular serialization."""
 
-from __future__ import annotations
-
 __all__ = [
     "SweepRow",
     "SweepSpec",

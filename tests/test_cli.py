@@ -599,8 +599,9 @@ class TestContract:
         assert done.stdout.startswith("usage: qgas")
 
     def test_import_loads_no_heavy_module(self):
-        # The records are plain classes, and JSON is loaded on first use.
-        heavy = "{'dataclasses', 'inspect', 'json'}"
+        # The records are plain classes, JSON is loaded on first use, and
+        # every annotation evaluates as written, without __future__.
+        heavy = "{'__future__', 'dataclasses', 'inspect', 'json'}"
         probe = f"import sys, qgas.cli; print(sorted({heavy} & set(sys.modules)))"
         src = os.path.dirname(os.path.dirname(qgas.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -129,9 +129,10 @@ class TestOccupationFermi:
     def test_bounded_below_bose(self, z, beta_eps):
         # Strict ordering is testable where the two occupations differ by
         # more than double rounding; beyond beta_eps ~ 36 both collapse to
-        # z*exp(-beta_eps) in floats.  The Bose occupation is singular at
-        # exactly z = 1, beta_eps = 0 (test_condensation_singularity).
-        assume((z, beta_eps) != (1.0, 0.0))
+        # z*exp(-beta_eps) in floats.  At z = 1 the Bose occupation is
+        # singular for beta_eps = 0 (test_condensation_singularity) and
+        # refused up to LAST_OVERFLOW (test_overflowing_occupation_is_singular).
+        assume(z < 1.0 or beta_eps > TestOccupationBose.LAST_OVERFLOW)
         fermi = occupation_fermi(z, beta_eps)
         assert 0.0 < fermi < 1.0
         assert occupation_bose(z, beta_eps) > fermi
