@@ -13,6 +13,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 from .errors import (
@@ -30,7 +31,6 @@ from .regime import (
     B_DILUTION_NOMINAL,
     P_CONDENSATION_NOMINAL,
     P_DILUTION_NOMINAL,
-    SERIES_VARIANTS,
     condensation_fixed_point,
     threshold_condensation,
     threshold_dilution,
@@ -48,7 +48,6 @@ EXIT_IO = 4
 
 _ENV_TOL = "QGAS_TOL"
 _ENV_WINDOW = "QGAS_WINDOW"
-_ENV_SERIES = "QGAS_SERIES"
 
 
 class _UsageError(Exception):
@@ -59,7 +58,16 @@ class _HelpShown(Exception):
     """Raised once --help has printed; mapped to exit code 0."""
 
 
+# argparse reads only "-1" and "-.5" as numbers, so "--p0 -4e2" would name an option.  This covers
+# every signed float() spelling; the type conversion refuses the rest, as it does for "--p0=-.".
+_NEGATIVE_NUMBER = re.compile(r"(?i)-([\d_.]+(e[-+]?[\d_]+)?|inf(inity)?|nan)\s*$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits with status 2 on bad usage, which collides with the
     # domain-error code; reroute through the usage exception instead.
     def error(self, message: str):  # noqa: D102 - argparse override
@@ -80,28 +88,16 @@ def _env_float(name: str) -> float | None:
         raise _UsageError(f"environment variable {name} is not a number: {raw!r}") from None
 
 
-def _env_series() -> str | None:
-    raw = os.environ.get(_ENV_SERIES)
-    if raw is None:
-        return None
-    if raw not in SERIES_VARIANTS:
-        raise _UsageError(
-            f"environment variable {_ENV_SERIES} must be 'full' or 'truncated', got {raw!r}"
-        )
-    return raw
-
-
 def _fill_settings(args: argparse.Namespace) -> None:
-    """Set tolerance, window and series from the flag, else the environment, else the default.
+    """Set tolerance and window from the flag, else the environment, else the default.
 
-    Every variable is read, so a malformed one is a usage error even where
+    Both variables are read, so a malformed one is a usage error even where
     its flag is given.  Every setting is then checked, whichever subcommand
     runs, and the series controls are kept as ``args.params``.
     """
     for name, env_value, default in (
         ("tolerance", _env_float(_ENV_TOL), SeriesParams.tolerance),
         ("window", _env_float(_ENV_WINDOW), SweepSpec.window),
-        ("series", _env_series(), SweepSpec.series),
     ):
         if getattr(args, name) is None:
             setattr(args, name, default if env_value is None else env_value)
@@ -156,7 +152,9 @@ def _cmd_thresholds(args: argparse.Namespace) -> str:
 
 
 def _cmd_classify(args: argparse.Namespace) -> str:
-    report = _classify(args.p0, args.mode, args.window, args.series, args.tolerance, args.params)
+    report = _classify(
+        args.p0, args.mode, args.window, SweepSpec.series, args.tolerance, args.params
+    )
     row = row_from_report(report)
     if args.format == "csv":
         return emit_csv([row])
@@ -190,7 +188,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         p_max=args.p_max,
         steps=args.steps,
         mode=args.mode,
-        series=args.series,
         window=args.window,
         tol=args.tolerance,
     )
@@ -220,7 +217,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--tolerance", type=float, default=None)
     common.add_argument("--max-terms", type=int, default=SeriesParams.max_terms, dest="max_terms")
     common.add_argument("--window", type=float, default=None)
-    common.add_argument("--series", choices=SERIES_VARIANTS, default=None)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", default=None)
 

@@ -98,7 +98,7 @@ class SeriesParams(_Record):
     def __init__(self, tolerance: float = tolerance, max_terms: int = max_terms):
         if not (isinstance(tolerance, float) and math.isfinite(tolerance) and tolerance > 0):
             raise DomainError(f"tolerance must be a positive finite float, got {_shown(tolerance)}")
-        if not (isinstance(max_terms, int) and max_terms >= 1):
+        if not (isinstance(max_terms, int) and not isinstance(max_terms, bool) and max_terms >= 1):
             raise DomainError(f"max_terms must be a positive integer, got {_shown(max_terms)}")
         vars(self).update(tolerance=tolerance, max_terms=max_terms)
 

@@ -11,11 +11,11 @@ reads K = H(z) on the Bose side and K = Phi(z) on the Fermi side, where
 Both sides tend to e as z -> 0.  Phi increases strictly on (0, 1].  H is
 *not* monotone: because e < 2**1.5, H dips slightly below e on
 (0, ~0.19), reaching about e - 2.04e-3 near z = 0.1, before rising to
-(e - 1) * ZETA_3_2 at z = 1.  Roots are therefore unique exactly for
-couplings strictly between e and the z = 1 endpoint value; couplings at
-or below e report no root on the dilution side (the shallow dip admits a
-pair of near-dilution solutions that the bracketing convention here
-deliberately does not chase).
+(e - 1) * ZETA_3_2 at z = 1.  The solvers bracket z in [1e-9, 1], and
+H(1e-9) = e - 3.894e-11 lies in the dip, so each coupling in
+(H(1e-9), H(1)], e included, has one root in the bracket, past the dip.
+Couplings below H(1e-9) report no root on the dilution side (the dip's
+pair of near-dilution solutions is deliberately not chased).
 
 Phi(1) < 3.12 < H(1), so no coupling above the Bose window has a root on
 the Fermi side either: the self-consistent classifier reports such
@@ -239,9 +239,9 @@ def solve_bose(
 ) -> SolveOutcome:
     """Solve H(z) = coupling for z in (0, 1] by bracketing bisection.
 
-    Couplings in (e, H(1)] have a unique root (see the module notes on the
-    shallow dip of H below e).  Couplings at or below e return no-root
-    "below"; couplings above H(1) return no-root "above".
+    Couplings in [H(1e-9), H(1)] have a root, e included (see the module
+    notes on the dip of H below e).  Couplings below H(1e-9) = e - 3.894e-11
+    return no-root "below"; couplings above H(1) return no-root "above".
     """
     return _bracketed_bisect(lambda z: bose_constraint_lhs(z, params), coupling, tol)
 
@@ -363,9 +363,10 @@ def classify_selfconsistent(
     or Dilution (z' <= tol, or coupling within tol of e).  Couplings above
     the Bose window map to OutOfModelRange with the no_fermi_root flag:
     the Fermi relation cannot absorb them, because Phi(1) < 3.12 < H(1),
-    so this classifier never returns AnomalousFermionic.  Couplings below e
-    map to AboveDilution with the no_bose_root flag.  ``series`` names the
-    Fermi variant; it is validated but changes no label.
+    so this classifier never returns AnomalousFermionic.  Couplings below
+    H(1e-9) = e - 3.894e-11 and not within tol of e map to AboveDilution
+    with the no_bose_root flag.  ``series`` names the Fermi variant; it is
+    validated but changes no label.
     """
     coupling = coupling_from_momentum(p0)
     _one_of(series, SERIES_VARIANTS, "series variant")

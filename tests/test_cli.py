@@ -516,16 +516,7 @@ class TestEnvironment:
         code, _, _ = cli("classify", "--p0", "193.61")
         assert code == EXIT_OK
 
-    def test_series_env(self, cli, monkeypatch):
-        monkeypatch.setenv("QGAS_SERIES", "full")
-        code, out, _ = cli("classify", "--p0", "205.0", "--mode", "self", "--format", "json")
-        assert code == EXIT_OK
-        assert json.loads(out)["selfconsistent_label"] == "NormalBose"
-
-    @pytest.mark.parametrize(
-        "name,value",
-        [("QGAS_TOL", "banana"), ("QGAS_WINDOW", ""), ("QGAS_SERIES", "cubic")],
-    )
+    @pytest.mark.parametrize("name,value", [("QGAS_TOL", "banana"), ("QGAS_WINDOW", "")])
     def test_invalid_env_is_usage(self, cli, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
         code, out, err = cli("classify", "--p0", "200")
@@ -578,6 +569,26 @@ class TestContract:
 
     @pytest.mark.parametrize(
         "argv",
+        [
+            ("polylog", "--kind", "fermi", "--z", "0.9"),
+            ("thresholds", "--b", "1.2"),
+            ("classify", "--p0", "205.0"),
+            ("sweep", "--p-min", "100", "--p-max", "300", "--steps", "3"),
+            ("occupation", "--z", "0.4", "--beta-eps-min", "0", "--beta-eps-max", "2",
+             "--steps", "3"),
+        ],
+    )
+    def test_no_series_setting(self, cli, monkeypatch, argv):
+        # The Fermi variant changes no output, so neither a flag nor QGAS_SERIES names one.
+        code, out, err = cli(*argv, "--series", "full")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: --series full" in err
+        expected = cli(*argv)
+        monkeypatch.setenv("QGAS_SERIES", "cubic")
+        assert cli(*argv) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
         [(), ("polylog",), ("thresholds",), ("classify",), ("sweep",), ("occupation",)],
         ids=lambda argv: " ".join(("qgas", *argv)),
     )
@@ -614,6 +625,41 @@ class TestContract:
     def test_nonnumeric_flag_value_is_usage(self, cli):
         code, _, _ = cli("classify", "--p0", "many")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "value",
+        ["-2", "-.5", "-5.", "-4e2", "-1E-3", "-1e+3", "-1_0", "-inf", "-Infinity", "-nan", "-NaN"],
+    )
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("classify",), "--p0"),
+            (("polylog", "--kind", "bose"), "--z"),
+            (("thresholds",), "--b"),
+            (("sweep", "--p-max", "3", "--steps", "3"), "--p-min"),
+            (("sweep", "--p-min", "1", "--p-max", "3"), "--steps"),
+            (("occupation", "--z", "0.5", "--branch", "fermi", "--beta-eps-max", "1",
+              "--steps", "2", "--format", "json"), "--beta-eps-min"),
+            (("thresholds", "--b", "1.2"), "--tolerance"),
+            (("thresholds", "--b", "1.2"), "--max-terms"),
+            (("classify", "--p0", "150"), "--window"),
+        ],
+        ids=lambda item: item if isinstance(item, str) else item[0],
+    )
+    def test_negative_number_reads_alike_with_or_without_equals(self, cli, argv, flag, value):
+        # argparse alone takes "-4e2", "-inf" or "-nan" after a flag for an option name.
+        assert cli(*argv, flag, value) == cli(*argv, f"{flag}={value}")
+
+    def test_negative_number_spellings(self, cli):
+        assert cli("classify", "--p0", "-4e2")[0] == EXIT_DOMAIN
+        assert cli("sweep", "--p-min", "-inf", "--p-max", "3", "--steps", "3")[0] == EXIT_DOMAIN
+        fermi = (
+            "occupation", "--z", "0.5", "--branch", "fermi", "--beta-eps-max", "1", "--steps", "2"
+        )
+        code, out, _ = cli(*fermi, "--beta-eps-min", "-1E-3")
+        assert (code, out) == cli(*fermi, "--beta-eps-min=-0.001")[:2]
+        assert code == EXIT_OK
+        assert cli("classify", "--p0", "-x")[0] == EXIT_USAGE
 
     def test_domain_error_for_bad_tolerance_value(self, cli):
         # Every global setting is checked, whether or not the subcommand uses it.

@@ -151,9 +151,9 @@ class TestSeriesParams:
         with pytest.raises(DomainError):
             SeriesParams(tolerance=tol)
 
-    @pytest.mark.parametrize("cap", [0, -5])
+    @pytest.mark.parametrize("cap", [0, -5, True])
     def test_bad_max_terms(self, cap):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=f"max_terms must be a positive integer, got {cap}$"):
             SeriesParams(max_terms=cap)
 
     @pytest.mark.parametrize("func", [bose_g32, fermi_f32_full])

@@ -222,6 +222,18 @@ class TestSolveBose:
         # The residual is exactly zero at the lower end, which is returned as is.
         assert solve_bose(bose_constraint_lhs(1e-9)).z == 1e-9
 
+    def test_no_root_edge_is_the_curve_at_the_lower_end(self):
+        # The edge is H(1e-9), just below e: e itself has the root past the dip.
+        edge = bose_constraint_lhs(1e-9)
+        assert math.e - edge == pytest.approx(3.894e-11, rel=1e-3)
+        assert solve_bose(math.e).z == pytest.approx(0.19183946951951103, abs=1e-12)
+        report = classify_selfconsistent((4 * math.pi) ** 2.5 / math.e)
+        assert report.coupling == math.e
+        assert report.selfconsistent_label is RegimeLabel.DILUTION
+        assert report.fugacity.z == solve_bose(math.e).z
+        below = solve_bose(math.nextafter(edge, 0.0))
+        assert (below.z, below.no_root_side) == (None, "below")
+
     @pytest.mark.parametrize("z", [0.3, 0.5, 0.7, 0.9, 1.0])
     def test_round_trip_past_dip(self, z):
         # Round-trips are well posed once z clears the dip (z > ~0.19).
