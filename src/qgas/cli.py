@@ -46,9 +46,6 @@ EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_ENV_TOL = "QGAS_TOL"
-_ENV_WINDOW = "QGAS_WINDOW"
-
 
 class _UsageError(Exception):
     """Raised for malformed invocations; mapped to exit code 1."""
@@ -89,20 +86,24 @@ def _env_float(name: str) -> float | None:
 
 
 def _fill_settings(args: argparse.Namespace) -> None:
-    """Set tolerance and window from the flag, else the environment, else the default.
+    """Set each setting the subcommand takes from the flag, else the environment, else the default.
 
-    Both variables are read, so a malformed one is a usage error even where
-    its flag is given.  Every setting is then checked, whichever subcommand
-    runs, and the series controls are kept as ``args.params``.
+    The variable of each setting taken is read, so a malformed one is a usage
+    error even where its flag is given.  The series controls are then checked
+    and kept as ``args.params``, and after them the window.
     """
-    for name, env_value, default in (
-        ("tolerance", _env_float(_ENV_TOL), SeriesParams.tolerance),
-        ("window", _env_float(_ENV_WINDOW), SweepSpec.window),
+    for name, env_name, default in (
+        ("tolerance", "QGAS_TOL", SeriesParams.tolerance),
+        ("window", "QGAS_WINDOW", SweepSpec.window),
     ):
-        if getattr(args, name) is None:
-            setattr(args, name, default if env_value is None else env_value)
-    args.params = SeriesParams(tolerance=args.tolerance, max_terms=args.max_terms)
-    _real(args.window, "window", _POSITIVE)
+        if name in vars(args):
+            env_value = _env_float(env_name)
+            if getattr(args, name) is None:
+                setattr(args, name, default if env_value is None else env_value)
+    if "tolerance" in vars(args):
+        args.params = SeriesParams(tolerance=args.tolerance, max_terms=args.max_terms)
+    if "window" in vars(args):
+        _real(args.window, "window", _POSITIVE)
 
 
 # Each `polylog --kind`, with the series branch it evaluates.
@@ -127,7 +128,7 @@ def _cmd_polylog(args: argparse.Namespace) -> str:
 def _threshold_rows(args: argparse.Namespace) -> list[tuple]:
     b = args.b
     if b is None:
-        fixed = condensation_fixed_point(args.params)
+        fixed = condensation_fixed_point(args.params, args.tolerance)
         return [
             ("dilution", B_DILUTION_NOMINAL, P_DILUTION_NOMINAL, None),
             ("condensation", B_CONDENSATION_NOMINAL, P_CONDENSATION_NOMINAL, None),
@@ -152,9 +153,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> str:
 
 
 def _cmd_classify(args: argparse.Namespace) -> str:
-    report = _classify(
-        args.p0, args.mode, args.window, SweepSpec.series, args.tolerance, args.params
-    )
+    report = _classify(args.p0, args.mode, args.window, args.tolerance, args.params)
     row = row_from_report(report)
     if args.format == "csv":
         return emit_csv([row])
@@ -213,38 +212,41 @@ def _cmd_occupation(args: argparse.Namespace) -> str:
 
 @functools.cache  # built once per process: building it takes longer than most main calls
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=None)
-    common.add_argument("--max-terms", type=int, default=SeriesParams.max_terms, dest="max_terms")
-    common.add_argument("--window", type=float, default=None)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--out", default=None)
+    # Each subcommand takes only the groups of settings it reads.
+    series = argparse.ArgumentParser(add_help=False)
+    series.add_argument("--tolerance", type=float, default=None)
+    series.add_argument("--max-terms", type=int, default=SeriesParams.max_terms, dest="max_terms")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--window", type=float, default=None)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    output.add_argument("--out", default=None)
 
     parser = _Parser(prog="qgas", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p_polylog = subparsers.add_parser("polylog", parents=[common])
+    p_polylog = subparsers.add_parser("polylog", parents=[series, output])
     p_polylog.add_argument("--kind", choices=tuple(_POLYLOG_KINDS), required=True)
     p_polylog.add_argument("--z", type=float, required=True)
     p_polylog.set_defaults(handler=_cmd_polylog)
 
-    p_thresholds = subparsers.add_parser("thresholds", parents=[common])
+    p_thresholds = subparsers.add_parser("thresholds", parents=[series, output])
     p_thresholds.add_argument("--b", type=float, default=None)
     p_thresholds.set_defaults(handler=_cmd_thresholds)
 
-    p_classify = subparsers.add_parser("classify", parents=[common])
+    p_classify = subparsers.add_parser("classify", parents=[series, window, output])
     p_classify.add_argument("--p0", type=float, required=True)
     p_classify.add_argument("--mode", choices=SWEEP_MODES, default="both")
     p_classify.set_defaults(handler=_cmd_classify)
 
-    p_sweep = subparsers.add_parser("sweep", parents=[common])
+    p_sweep = subparsers.add_parser("sweep", parents=[series, window, output])
     p_sweep.add_argument("--p-min", type=float, required=True, dest="p_min")
     p_sweep.add_argument("--p-max", type=float, required=True, dest="p_max")
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--mode", choices=SWEEP_MODES, default="both")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
-    p_occupation = subparsers.add_parser("occupation", parents=[common])
+    p_occupation = subparsers.add_parser("occupation", parents=[output])
     p_occupation.add_argument("--z", type=float, required=True)
     p_occupation.add_argument("--branch", choices=OCCUPATION_BRANCHES, default="bose")
     p_occupation.add_argument("--beta-eps-min", type=float, required=True, dest="beta_eps_min")

@@ -13,7 +13,10 @@ __all__ = [
 import math
 from numbers import Integral
 
-from .errors import _ABOVE_ZERO, _FINITE, _POSITIVE, DomainError, _Record, _one_of, _real, _shown
+from .errors import (
+    _ABOVE_ZERO, _FINITE, _NONNEGATIVE, _POSITIVE, _UNIT, DomainError, _Record, _one_of, _real,
+    _shown,
+)
 from .gas import occupation_bose, occupation_fermi
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams
 from .regime import (
@@ -109,14 +112,14 @@ def _inclusive_grid(lo: float, hi: float, steps: int):
 
 
 def _classify(
-    p0: float, mode: str, window: float, series: str, tol: float, params: SeriesParams
+    p0: float, mode: str, window: float, tol: float, params: SeriesParams
 ) -> RegimeReport:
     """The report of the classifier that ``mode`` (one of SWEEP_MODES) names."""
     if mode == "paper":
         return classify_paper(p0, window)
     if mode == "self":
-        return classify_selfconsistent(p0, series, tol, params)
-    return classify_both(p0, window, series, tol, params)
+        return classify_selfconsistent(p0, tol=tol, params=params)
+    return classify_both(p0, window, tol=tol, params=params)
 
 
 def run_sweep(
@@ -124,7 +127,7 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Classify every point of the linear grid described by ``spec``."""
     return [
-        row_from_report(_classify(p0, spec.mode, spec.window, spec.series, spec.tol, params))
+        row_from_report(_classify(p0, spec.mode, spec.window, spec.tol, params))
         for p0 in _inclusive_grid(spec.p_min, spec.p_max, spec.steps)
     ]
 
@@ -184,5 +187,8 @@ def occupation_curve(
     """
     lo, hi = _check_grid(beta_eps_min, beta_eps_max, steps, "beta_eps_min", "beta_eps_max")
     _one_of(branch, OCCUPATION_BRANCHES, "branch")
+    if branch == "bose":  # name a negative bound, not its grid point; z is still named first
+        _real(z, "z", _UNIT)
+        _real(lo, "beta_eps_min", _NONNEGATIVE)
     occupation = occupation_bose if branch == "bose" else occupation_fermi
     return [(x, occupation(z, x)) for x in _inclusive_grid(lo, hi, steps)]

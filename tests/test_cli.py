@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -131,6 +132,14 @@ class TestThresholds:
         assert code == EXIT_OK
         assert lines[0] == "name,b,p0,z"
         assert len(lines) == 4
+
+    def test_tolerance_is_the_fixed_point_width(self, cli):
+        fixed = condensation_fixed_point(tol=0.5)
+        p0 = threshold_condensation(fixed.b)
+        row = f"condensation-selfconsistent,{fixed.b!r},{p0!r},{fixed.z!r}"
+        code, out, err = cli("thresholds", "--tolerance", "0.5", "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == row
 
 
 class TestClassify:
@@ -525,6 +534,59 @@ class TestEnvironment:
         assert name in err
 
 
+# The shortest valid invocation of each subcommand, and every option it takes besides --help.
+_MINIMAL_ARGV = {
+    "polylog": ("--kind", "bose", "--z", "0.5"),
+    "thresholds": (),
+    "classify": ("--p0", "200"),
+    "sweep": ("--p-min", "100", "--p-max", "120", "--steps", "3"),
+    "occupation": ("--z", "0.5", "--beta-eps-min", "0", "--beta-eps-max", "1", "--steps", "2"),
+}
+_OPTIONS = {
+    "polylog": {"--kind", "--z", "--tolerance", "--max-terms", "--format", "--out"},
+    "thresholds": {"--b", "--tolerance", "--max-terms", "--format", "--out"},
+    "classify": {"--p0", "--mode", "--tolerance", "--max-terms", "--window", "--format", "--out"},
+    "sweep": {
+        "--p-min", "--p-max", "--steps", "--mode",
+        "--tolerance", "--max-terms", "--window", "--format", "--out",
+    },
+    "occupation": {
+        "--z", "--branch", "--beta-eps-min", "--beta-eps-max", "--steps", "--format", "--out"
+    },
+}
+# A value for each setting; a negative tolerance is a domain error only where it is taken.
+_SETTING_VALUES = {"--tolerance": "-1", "--max-terms": "10", "--window": "0.1"}
+_VARIABLES = {"QGAS_TOL": "--tolerance", "QGAS_WINDOW": "--window"}
+
+
+class TestSettings:
+    """Each subcommand takes, reads and checks only the settings it uses."""
+
+    @pytest.mark.parametrize("command", _MINIMAL_ARGV)
+    def test_option_set(self, cli, command):
+        code, out, _ = cli(command, "--help")
+        assert code == EXIT_OK
+        assert set(re.findall(r"--[a-z][a-z0-9-]*", out)) == _OPTIONS[command] | {"--help"}
+        for flag, value in _SETTING_VALUES.items():
+            if flag not in _OPTIONS[command]:
+                assert cli(command, *_MINIMAL_ARGV[command], flag, value) == (
+                    EXIT_USAGE, "", f"usage error: unrecognized arguments: {flag} {value}\n"
+                )
+
+    @pytest.mark.parametrize("variable", _VARIABLES)
+    @pytest.mark.parametrize("command", _MINIMAL_ARGV)
+    def test_variable_is_read_only_with_its_setting(self, cli, monkeypatch, command, variable):
+        argv = (command, *_MINIMAL_ARGV[command])
+        unset = cli(*argv)
+        monkeypatch.setenv(variable, "x")
+        if _VARIABLES[variable] in _OPTIONS[command]:
+            message = f"usage error: environment variable {variable} is not a number: 'x'\n"
+            assert cli(*argv) == (EXIT_USAGE, "", message)
+        else:
+            assert unset[0] == EXIT_OK
+            assert cli(*argv) == unset
+
+
 class TestContract:
     def test_missing_subcommand(self, cli):
         code, _, _ = cli()
@@ -662,12 +724,10 @@ class TestContract:
         assert cli("classify", "--p0", "-x")[0] == EXIT_USAGE
 
     def test_domain_error_for_bad_tolerance_value(self, cli):
-        # Every global setting is checked, whether or not the subcommand uses it.
+        # Every setting a subcommand takes is checked, whether or not this run uses it.
         for argv in (
             ("polylog", "--kind", "bose", "--z", "0.5", "--tolerance", "-1"),
             ("classify", "--p0", "150", "--mode", "self", "--window", "-1"),
-            ("occupation", "--z", "0.5", "--beta-eps-min", "0", "--beta-eps-max", "1",
-             "--steps", "3", "--tolerance", "-1"),
             ("thresholds", "--b", "1.2", "--max-terms", "0"),
         ):
             code, out, _ = cli(*argv)

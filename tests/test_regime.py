@@ -732,6 +732,14 @@ RANGE_REFUSALS = {
     ),
     "SweepSpec-p_min": (lambda: SweepSpec(-1.0, 2.0, 3), "p_min must be positive, got -1.0"),
     "SweepSpec-p_max": (lambda: SweepSpec(1.0, math.nan, 3), "p_max must be finite, got nan"),
+    # A negative Bose bound is named as the bound, after an out-of-range z.
+    "occupation_curve-beta_eps_min": (
+        lambda: occupation_curve(0.5, -400.0, 1.0, 3),
+        "beta_eps_min must be nonnegative and finite, got -400.0",
+    ),
+    "occupation_curve-z": (
+        lambda: occupation_curve(1.5, -400.0, 1.0, 3), "z must lie in [0, 1], got 1.5"
+    ),
     "solve_bose-tol": (
         lambda: solve_bose(3.0, tol=0.0), "tol must be positive and finite, got 0.0"
     ),
