@@ -208,6 +208,10 @@ def _bracketed_bisect(curve, coupling: float, tol: float) -> SolveOutcome:
     coupling = _real(coupling, "coupling", _POSITIVE)
     tol = _real(tol, "tol", _POSITIVE)
     lo, hi = _BRACKET_LO, 1.0
+    if tol > hi - lo:
+        raise DomainError(
+            f"tol must be at most the bracket width {hi - lo!r} of [{lo!r}, {hi!r}], got {tol!r}"
+        )
     r_lo, r_hi = curve(lo) - coupling, curve(hi) - coupling
     if r_lo == 0.0:
         return SolveOutcome(z=lo, no_root_side=None)
@@ -352,10 +356,7 @@ def classify_paper(p0: float, window: float = 0.01) -> RegimeReport:
 
 
 def classify_selfconsistent(
-    p0: float,
-    series: str = "truncated",
-    tol: float = 1e-12,
-    params: SeriesParams = DEFAULT_SERIES_PARAMS,
+    p0: float, tol: float = 1e-12, params: SeriesParams = DEFAULT_SERIES_PARAMS
 ) -> RegimeReport:
     """Classify p0 by actually solving the self-consistency relation.
 
@@ -365,11 +366,9 @@ def classify_selfconsistent(
     the Fermi relation cannot absorb them, because Phi(1) < 3.12 < H(1),
     so this classifier never returns AnomalousFermionic.  Couplings below
     H(1e-9) = e - 3.894e-11 and not within tol of e map to AboveDilution
-    with the no_bose_root flag.  ``series`` names the Fermi variant; it is
-    validated but changes no label.
+    with the no_bose_root flag.
     """
     coupling = coupling_from_momentum(p0)
-    _one_of(series, SERIES_VARIANTS, "series variant")
     label, flags, pair = _selfconsistent_label(coupling, _real(tol, "tol", _POSITIVE), params)
     return RegimeReport(float(p0), coupling, None, label, pair, flags)
 
@@ -377,7 +376,6 @@ def classify_selfconsistent(
 def classify_both(
     p0: float,
     window: float = 0.01,
-    series: str = "truncated",
     tol: float = 1e-12,
     params: SeriesParams = DEFAULT_SERIES_PARAMS,
 ) -> RegimeReport:
@@ -389,7 +387,6 @@ def classify_both(
     """
     coupling = coupling_from_momentum(p0)
     paper, paper_flags = _paper_label(p0, _real(window, "window", _POSITIVE))
-    _one_of(series, SERIES_VARIANTS, "series variant")
     selfc, flags, pair = _selfconsistent_label(coupling, _real(tol, "tol", _POSITIVE), params)
     near = frozenset({FLAG_NEAR_THRESHOLD} if paper != selfc else ())
     return RegimeReport(float(p0), coupling, paper, selfc, pair, paper_flags | flags | near)

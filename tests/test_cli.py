@@ -733,6 +733,35 @@ class TestContract:
             code, out, _ = cli(*argv)
             assert (code, out) == (EXIT_DOMAIN, ""), argv
 
+    @pytest.mark.parametrize(
+        "argv,shown",
+        [
+            (("classify", "--p0", "193.6", "--mode", "self", "--tolerance", "2", "--format", "csv"), "2.0"),
+            (("classify", "--p0", "150", "--tolerance", "0.9999999990000001"), "0.9999999990000001"),
+            (("sweep", "--p-min", "150", "--p-max", "250", "--steps", "3", "--tolerance", "2"), "2.0"),
+            (("thresholds", "--tolerance", "1e300"), "1e+300"),
+            (("thresholds", "--tolerance", "2", "--format", "json"), "2.0"),
+        ],
+    )
+    def test_tolerance_wider_than_the_bracket_is_domain(self, cli, argv, shown):
+        # A width past [1e-9, 1] would return the bracket midpoint as a root.
+        message = f"tol must be at most the bracket width 0.999999999 of [1e-09, 1.0], got {shown}"
+        assert cli(*argv) == (EXIT_DOMAIN, "", f"domain error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--p0", "150", "--mode", "paper", "--tolerance", "2"),
+            ("sweep", "--p-min", "150", "--p-max", "250", "--steps", "3", "--mode", "paper",
+             "--tolerance", "2"),
+            ("thresholds", "--b", "1.4", "--tolerance", "2"),
+        ],
+    )
+    def test_tolerance_wider_than_the_bracket_where_no_root_is_solved(self, cli, argv):
+        code, out, err = cli(*argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out != ""
+
 
 # Edge values for every real argument: signed zero, subnormals, the ends of
 # the fugacity range and their float neighbours, e, a mid momentum and the

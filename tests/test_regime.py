@@ -271,6 +271,10 @@ class TestSolveBose:
             solve_bose(4.0, tol=1e-17)
         assert 50 <= len(seen) <= 60
 
+    def test_tolerance_up_to_the_bracket_width_is_solved(self):
+        # One midpoint, 0.5000000005, narrows [1e-9, 1] below the width 1 - 1e-9.
+        assert solve_bose(4.0, 0.999999999).z == 0.75000000025
+
 
 class TestSolveFermi:
     def test_just_above_e(self):
@@ -478,15 +482,14 @@ class TestClassifySelfconsistent:
         assert report.selfconsistent_label is RegimeLabel.DILUTION
 
     def test_dilution_by_order_one_tolerance(self):
-        # Roots lie at z > ~0.19, so z' <= tol labels a found root Dilution
-        # only at a tolerance of order 1: here the initial bracket is already
-        # narrower than tol, its midpoint is the root, and |K - e| = 1.68
-        # exceeds tol.
-        report = classify_selfconsistent(COUPLING_CONSTANT / 4.4, tol=1.5)
-        assert abs(report.coupling - math.e) > 1.5
+        # A found root away from K = e is labelled Dilution once tol reaches
+        # |K - e|: K = 2.75 lies within 0.6 of e, one midpoint narrows the
+        # bracket to [1e-9, 0.5], and z' = 0.28 sits below tol as well.
+        report = classify_selfconsistent(COUPLING_CONSTANT / 2.75, tol=0.6)
         assert report.selfconsistent_label is RegimeLabel.DILUTION
         assert report.branch == "bose"
-        assert report.fugacity.z == pytest.approx(0.5000000005, abs=1e-12)
+        assert report.fugacity.z == pytest.approx(0.25000000075, abs=1e-12)
+        assert report.fugacity.z_prime <= 0.6
 
     def test_dilution_without_root(self):
         # K sits just below e, where H has no bracketed root, but within tol of e.
@@ -515,17 +518,6 @@ class TestClassifySelfconsistent:
         for p0 in (121.0, COUPLING_CONSTANT / 4.6):
             report = classify_selfconsistent(p0)
             assert report.selfconsistent_label is RegimeLabel.OUT_OF_MODEL_RANGE
-
-    def test_series_switch_accepted(self):
-        report = classify_selfconsistent(205.0, series="full")
-        assert report.selfconsistent_label is RegimeLabel.NORMAL_BOSE
-
-    @pytest.mark.parametrize("classify", [classify_selfconsistent, classify_both])
-    @pytest.mark.parametrize("p0", [100.0, 150.0, 300.0])
-    def test_unknown_series_at_every_momentum(self, classify, p0):
-        # Out of range, inside the Bose window and below it alike.
-        with pytest.raises(DomainError):
-            classify(p0, series="bogus")
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -565,7 +557,7 @@ class TestClassifyBoth:
         assert report.selfconsistent_label is RegimeLabel.OUT_OF_MODEL_RANGE
         assert report.labels_differ is True
 
-    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1.5])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 0.6])
     @pytest.mark.parametrize("window", [0.01, 0.05])
     def test_merges_the_two_classifiers(self, window, tol):
         # Each window edge (1x and 2x) of both thresholds and the couplings e
@@ -579,11 +571,11 @@ class TestClassifyBoth:
         momenta = [
             q for p in edges for q in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))
         ]
-        for series, params in (("truncated", SeriesParams()), ("full", SeriesParams(1e-8, 10_000))):
+        for params in (SeriesParams(), SeriesParams(1e-8, 10_000)):
             for p0 in momenta:
-                both = classify_both(p0, window, series, tol, params)
+                both = classify_both(p0, window, tol, params)
                 paper = classify_paper(p0, window)
-                selfc = classify_selfconsistent(p0, series, tol, params)
+                selfc = classify_selfconsistent(p0, tol, params)
                 differ = paper.paper_label != selfc.selfconsistent_label
                 assert both.momentum == paper.momentum == selfc.momentum == p0
                 assert both.coupling == paper.coupling == selfc.coupling
@@ -598,17 +590,15 @@ class TestClassifyBoth:
         "call, first",
         [
             (lambda: classify_paper(-1.0, 0.0), "p0"),
-            (lambda: classify_selfconsistent(-1.0, "bogus", math.nan), "p0"),
-            (lambda: classify_selfconsistent(150.0, "bogus", math.nan), "unknown series"),
-            (lambda: classify_selfconsistent(150.0, "full", math.nan), "tol"),
-            (lambda: classify_both(-1.0, 0.0, "bogus", math.nan), "p0"),
-            (lambda: classify_both(150.0, 0.0, "bogus", math.nan), "window"),
-            (lambda: classify_both(150.0, 0.01, "bogus", math.nan), "unknown series"),
-            (lambda: classify_both(150.0, 0.01, "full", math.nan), "tol"),
+            (lambda: classify_selfconsistent(-1.0, math.nan), "p0"),
+            (lambda: classify_selfconsistent(150.0, math.nan), "tol"),
+            (lambda: classify_both(-1.0, 0.0, math.nan), "p0"),
+            (lambda: classify_both(150.0, 0.0, math.nan), "window"),
+            (lambda: classify_both(150.0, 0.01, math.nan), "tol"),
         ],
     )
     def test_first_error_follows_argument_order(self, call, first):
-        # Arguments are checked in the order p0, window, series, tol.
+        # Arguments are checked in the order p0, window, tol.
         with pytest.raises(DomainError, match=f"^{first} "):
             call()
 
@@ -711,6 +701,10 @@ def test_positive_and_finite_refusal(entry, value):
     assert str(err.value) == f"{name} must be positive and finite, got {value!r}"
 
 
+TOL_PAST_BRACKET = (
+    "tol must be at most the bracket width 0.999999999 of [1e-09, 1.0], got 0.9999999990000001"
+)
+
 # A real argument outside its range, with the exact refusal it draws.
 RANGE_REFUSALS = {
     "bose_g32": (lambda: bose_g32(1.5), "z must lie in [0, 1], got 1.5"),
@@ -742,6 +736,15 @@ RANGE_REFUSALS = {
     ),
     "solve_bose-tol": (
         lambda: solve_bose(3.0, tol=0.0), "tol must be positive and finite, got 0.0"
+    ),
+    # The float just past the bracket width 1 - 1e-9: a wider tol would
+    # return the bracket midpoint as a root.
+    "solve_bose-tol-bracket": (lambda: solve_bose(4.0, 0.9999999990000001), TOL_PAST_BRACKET),
+    "solve_fermi-tol-bracket": (
+        lambda: solve_fermi(2.8, tol=0.9999999990000001), TOL_PAST_BRACKET
+    ),
+    "condensation_fixed_point-tol-bracket": (
+        lambda: condensation_fixed_point(tol=0.9999999990000001), TOL_PAST_BRACKET
     ),
 }
 
@@ -813,9 +816,6 @@ SHOWN_REFUSALS = {
     "SeriesParams-max_terms": ("max_terms ", lambda v: SeriesParams(max_terms=v)),
     "SweepSpec-steps": ("steps ", lambda v: SweepSpec(1.0, 2.0, v)),
     "SweepSpec-mode": ("unknown mode ", lambda v: SweepSpec(1.0, 2.0, 3, mode=v)),
-    "classify_selfconsistent-series": (
-        "unknown series variant ", lambda v: classify_selfconsistent(150.0, series=v)
-    ),
     "occupation_curve-branch": ("unknown branch ", lambda v: occupation_curve(0.5, 0.0, 1.0, 3, branch=v)),
     "FugacityPair.from_branch": ("unknown branch ", lambda v: FugacityPair.from_branch(0.5, v)),
     "coupling_from_momentum": ("p0 ", coupling_from_momentum),
