@@ -36,8 +36,8 @@ from .regime import (
     threshold_dilution,
 )
 from .sweep import (
-    OCCUPATION_BRANCHES, SWEEP_MODES, SweepSpec, _classify, _csv_cell, _json_text, _table_text,
-    emit_csv, emit_json, occupation_curve, row_from_report, run_sweep,
+    _COLUMNS, OCCUPATION_BRANCHES, SWEEP_MODES, SweepSpec, _classify, _csv_cell, _json_text,
+    _table_text, occupation_curve, row_from_report, run_sweep,
 )
 
 EXIT_OK = 0
@@ -115,14 +115,10 @@ _THRESHOLD_COLUMNS = ("name", "b", "p0", "z")
 _OCCUPATION_COLUMNS = ("beta_eps", "occupation")
 
 
-def _cmd_polylog(args: argparse.Namespace) -> str:
+def _cmd_polylog(args: argparse.Namespace) -> tuple:
     value = _branch_series(args.z, _POLYLOG_KINDS[args.kind], args.params)
-    if args.format == "text":
-        return f"{value!r}\n"
     record = dict(zip(_POLYLOG_COLUMNS, (args.kind, args.z, value)))
-    if args.format == "json":
-        return _json_text(record)
-    return _table_text("csv", _POLYLOG_COLUMNS, [record])
+    return _POLYLOG_COLUMNS, record, f"{value!r}\n"
 
 
 def _threshold_rows(args: argparse.Namespace) -> list[tuple]:
@@ -140,34 +136,25 @@ def _threshold_rows(args: argparse.Namespace) -> list[tuple]:
     return [("dilution", b, threshold_dilution(b), None), ("condensation", b, condensation, None)]
 
 
-def _cmd_thresholds(args: argparse.Namespace) -> str:
+def _cmd_thresholds(args: argparse.Namespace) -> tuple:
     rows = _threshold_rows(args)
-    if args.format != "text":
-        records = [dict(zip(_THRESHOLD_COLUMNS, row)) for row in rows]
-        return _table_text(args.format, _THRESHOLD_COLUMNS, records)
-    return "".join(
+    text = "".join(
         f"{name}: b={b!r} p0={'undefined' if p0 is None else repr(p0)}"
         + ("" if z is None else f" z={z!r}") + "\n"
         for name, b, p0, z in rows
     )
+    return _THRESHOLD_COLUMNS, [dict(zip(_THRESHOLD_COLUMNS, row)) for row in rows], text
 
 
-def _cmd_classify(args: argparse.Namespace) -> str:
+def _cmd_classify(args: argparse.Namespace) -> tuple:
     report = _classify(args.p0, args.mode, args.window, args.tolerance, args.params)
-    row = row_from_report(report)
-    if args.format == "csv":
-        return emit_csv([row])
-    if args.format == "json":
-        return _json_text({**vars(row), "labels_differ": report.labels_differ})
-    # One line per SweepRow field that has a value; "-" stands for no flags.
-    lines = [
-        f"{name}: {_csv_cell(value) or '-'}"
-        for name, value in vars(row).items()
-        if value is not None
-    ]
-    if report.labels_differ is not None:
-        lines.append(f"labels_differ: {report.labels_differ}")
-    return "\n".join(lines) + "\n"
+    record = {**vars(row_from_report(report)), "labels_differ": report.labels_differ}
+    # One line per field that has a value; "-" stands for no flags.
+    text = "".join(
+        f"{name}: {_csv_cell(value) or '-'}\n"
+        for name, value in record.items() if value is not None
+    )
+    return _COLUMNS, record, text
 
 
 def _check_grid_usage(
@@ -180,7 +167,7 @@ def _check_grid_usage(
         raise _UsageError(f"--steps must be at least 2, got {steps!r}")
 
 
-def _cmd_sweep(args: argparse.Namespace) -> str:
+def _cmd_sweep(args: argparse.Namespace) -> tuple:
     _check_grid_usage("--p-min", args.p_min, "--p-max", args.p_max, args.steps)
     spec = SweepSpec(
         p_min=args.p_min,
@@ -190,13 +177,10 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         window=args.window,
         tol=args.tolerance,
     )
-    rows = run_sweep(spec, args.params)
-    if args.format == "json":
-        return emit_json(rows)
-    return emit_csv(rows)
+    return _COLUMNS, list(map(vars, run_sweep(spec, args.params))), None
 
 
-def _cmd_occupation(args: argparse.Namespace) -> str:
+def _cmd_occupation(args: argparse.Namespace) -> tuple:
     _check_grid_usage(
         "--beta-eps-min", args.beta_eps_min, "--beta-eps-max", args.beta_eps_max, args.steps,
         " (degenerate range)",
@@ -204,10 +188,22 @@ def _cmd_occupation(args: argparse.Namespace) -> str:
     curve = occupation_curve(
         args.z, args.beta_eps_min, args.beta_eps_max, args.steps, args.branch
     )
-    if args.format != "text":
-        records = [dict(zip(_OCCUPATION_COLUMNS, point)) for point in curve]
-        return _table_text(args.format, _OCCUPATION_COLUMNS, records)
-    return "".join(f"{x!r} {n!r}\n" for x, n in curve)
+    records = [dict(zip(_OCCUPATION_COLUMNS, point)) for point in curve]
+    return _OCCUPATION_COLUMNS, records, "".join(f"{x!r} {n!r}\n" for x, n in curve)
+
+
+def _render(fmt: str, columns: tuple[str, ...], records, text: str | None) -> str:
+    """What a handler returned, written in ``fmt``: the one format decision of the CLI.
+
+    ``records`` is one dict (a JSON object) or a list of dicts (a JSON
+    array), each holding at least ``columns``; ``text`` is the text format,
+    or None where that is the CSV table.
+    """
+    if fmt == "json":
+        return _json_text(records)
+    if fmt == "text" and text is not None:
+        return text
+    return _table_text(columns, [records] if isinstance(records, dict) else records)
 
 
 @functools.cache  # built once per process: building it takes longer than most main calls
@@ -270,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _fill_settings(args)
-        _write_output(args.handler(args), args.out)
+        _write_output(_render(args.format, *args.handler(args)), args.out)
         return EXIT_OK
     except _HelpShown:
         return EXIT_OK

@@ -12,6 +12,7 @@ __all__ = [
 
 import math
 from numbers import Integral
+from operator import itemgetter
 
 from .errors import (
     _ABOVE_ZERO, _FINITE, _NONNEGATIVE, _POSITIVE, _UNIT, DomainError, _Record, _one_of, _real,
@@ -149,26 +150,24 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _table_text(fmt: str, columns: tuple[str, ...], records) -> str:
-    """``records``, dicts keyed by ``columns`` in that order, as a JSON array of objects or as CSV.
+def _table_text(columns: tuple[str, ...], records) -> str:
+    """``records``, dicts keyed by at least ``columns``, as CSV of those columns in that order.
 
     The CSV has a header, LF line ends and a trailing newline; no quoting,
     because no cell holds a comma, a quote or a line break.
     """
-    if fmt == "json":
-        return _json_text(list(records))
-    lines = (columns, *map(dict.values, records))
+    lines = (columns, *map(itemgetter(*columns), records))  # two or more columns: a tuple each
     return "".join(",".join(map(_csv_cell, cells)) + "\n" for cells in lines)
 
 
 def emit_csv(rows: list[SweepRow]) -> str:
     """Render rows as deterministic CSV (LF line ends, trailing newline)."""
-    return _table_text("csv", _COLUMNS, map(vars, rows))
+    return _table_text(_COLUMNS, map(vars, rows))
 
 
 def emit_json(rows: list[SweepRow]) -> str:
     """Render rows as a JSON array of objects in column order."""
-    return _table_text("json", _COLUMNS, map(vars, rows))
+    return _json_text(list(map(vars, rows)))
 
 
 def occupation_curve(
