@@ -327,9 +327,7 @@ def _selfconsistent_label(
     pair = FugacityPair.from_branch(bose.z, "bose", params) if bose.found else None
     if pair is not None and pair.z_prime >= 1.0:
         return RegimeLabel.CONDENSATION, frozenset(), pair
-    # Roots exist only for z > ~0.19, so z' <= tol decides the label only at
-    # a tolerance of order 1.
-    if abs(coupling - math.e) <= tol or (pair is not None and pair.z_prime <= tol):
+    if abs(coupling - math.e) <= tol:
         return RegimeLabel.DILUTION, frozenset(), pair
     if pair is not None:
         return RegimeLabel.NORMAL_BOSE, frozenset(), pair
@@ -360,13 +358,13 @@ def classify_selfconsistent(
 ) -> RegimeReport:
     """Classify p0 by actually solving the self-consistency relation.
 
-    A Bose root maps to Condensation (z' >= 1), NormalBose (tol < z' < 1)
-    or Dilution (z' <= tol, or coupling within tol of e).  Couplings above
-    the Bose window map to OutOfModelRange with the no_fermi_root flag:
-    the Fermi relation cannot absorb them, because Phi(1) < 3.12 < H(1),
-    so this classifier never returns AnomalousFermionic.  Couplings below
-    H(1e-9) = e - 3.894e-11 and not within tol of e map to AboveDilution
-    with the no_bose_root flag.
+    A Bose root maps to Condensation (z' >= 1); otherwise a coupling within
+    tol of e maps to Dilution, and a Bose root to NormalBose (z' < 1).
+    Couplings above the Bose window map to OutOfModelRange with the
+    no_fermi_root flag: the Fermi relation cannot absorb them, because
+    Phi(1) < 3.12 < H(1), so this classifier never returns
+    AnomalousFermionic.  Couplings below H(1e-9) = e - 3.894e-11 and not
+    within tol of e map to AboveDilution with the no_bose_root flag.
     """
     coupling = coupling_from_momentum(p0)
     label, flags, pair = _selfconsistent_label(coupling, _real(tol, "tol", _POSITIVE), params)

@@ -483,13 +483,34 @@ class TestClassifySelfconsistent:
 
     def test_dilution_by_order_one_tolerance(self):
         # A found root away from K = e is labelled Dilution once tol reaches
-        # |K - e|: K = 2.75 lies within 0.6 of e, one midpoint narrows the
-        # bracket to [1e-9, 0.5], and z' = 0.28 sits below tol as well.
+        # |K - e|: K = 2.75 lies within 0.6 of e, and one midpoint narrows the
+        # bracket to [1e-9, 0.5].
         report = classify_selfconsistent(COUPLING_CONSTANT / 2.75, tol=0.6)
         assert report.selfconsistent_label is RegimeLabel.DILUTION
         assert report.branch == "bose"
         assert report.fugacity.z == pytest.approx(0.25000000075, abs=1e-12)
         assert report.fugacity.z_prime <= 0.6
+
+    def test_found_roots_away_from_e_have_z_prime_above_tol(self):
+        # Why the Dilution test reads |K - e| <= tol alone: no root found for a
+        # coupling farther than tol from e, and below condensation, has z' <= tol.
+        # Roots lie past the dip (z > ~0.19), so only a coarse tol could reach
+        # z', and a coupling that far above e has a root higher still.
+        h_lo = bose_constraint_lhs(1e-9)
+        k_cond = math.e * condensation_fixed_point().b - 1.0
+        couplings = [h_lo + (k_cond - h_lo) * i / 32 for i in range(1, 33)]
+        couplings += [k_cond + (H_AT_1 - k_cond) * i / 4 for i in range(1, 5)]
+        checked = 0
+        for tol in [10.0 ** (k / 3) for k in range(-36, 0)] + [0.999999999]:
+            for coupling in (*couplings, math.e + 1.000001 * tol, math.e + 2.0 * tol):
+                outcome = solve_bose(coupling, tol)
+                if not outcome.found or abs(coupling - math.e) <= tol:
+                    continue
+                z_prime = FugacityPair.from_branch(outcome.z, "bose").z_prime
+                if z_prime < 1.0:
+                    checked += 1
+                    assert z_prime > tol, (coupling, tol, z_prime)
+        assert checked > 1000
 
     def test_dilution_without_root(self):
         # K sits just below e, where H has no bracketed root, but within tol of e.
