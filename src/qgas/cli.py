@@ -118,7 +118,7 @@ _OCCUPATION_COLUMNS = ("beta_eps", "occupation")
 def _cmd_polylog(args: argparse.Namespace) -> tuple:
     value = _branch_series(args.z, _POLYLOG_KINDS[args.kind], args.params)
     record = dict(zip(_POLYLOG_COLUMNS, (args.kind, args.z, value)))
-    return _POLYLOG_COLUMNS, record, f"{value!r}\n"
+    return _POLYLOG_COLUMNS, record, (f"{value!r}\n",)
 
 
 def _threshold_rows(args: argparse.Namespace) -> list[tuple]:
@@ -138,7 +138,7 @@ def _threshold_rows(args: argparse.Namespace) -> list[tuple]:
 
 def _cmd_thresholds(args: argparse.Namespace) -> tuple:
     rows = _threshold_rows(args)
-    text = "".join(
+    text = (
         f"{name}: b={b!r} p0={'undefined' if p0 is None else repr(p0)}"
         + ("" if z is None else f" z={z!r}") + "\n"
         for name, b, p0, z in rows
@@ -150,7 +150,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple:
     report = _classify(args.p0, args.mode, args.window, args.tolerance, args.params)
     record = {**vars(row_from_report(report)), "labels_differ": report.labels_differ}
     # One line per field that has a value; "-" stands for no flags.
-    text = "".join(
+    text = (
         f"{name}: {_csv_cell(value) or '-'}\n"
         for name, value in record.items() if value is not None
     )
@@ -189,20 +189,21 @@ def _cmd_occupation(args: argparse.Namespace) -> tuple:
         args.z, args.beta_eps_min, args.beta_eps_max, args.steps, args.branch
     )
     records = [dict(zip(_OCCUPATION_COLUMNS, point)) for point in curve]
-    return _OCCUPATION_COLUMNS, records, "".join(f"{x!r} {n!r}\n" for x, n in curve)
+    return _OCCUPATION_COLUMNS, records, (f"{x!r} {n!r}\n" for x, n in curve)
 
 
 def _render(fmt: str, columns: tuple[str, ...], records, text: str | None) -> str:
     """What a handler returned, written in ``fmt``: the one format decision of the CLI.
 
     ``records`` is one dict (a JSON object) or a list of dicts (a JSON
-    array), each holding at least ``columns``; ``text`` is the text format,
-    or None where that is the CSV table.
+    array), each holding at least ``columns``.  ``text`` yields the lines of
+    the text format, built only if that format is asked for, or is None
+    where that format is the CSV table.
     """
     if fmt == "json":
         return _json_text(records)
     if fmt == "text" and text is not None:
-        return text
+        return "".join(text)
     return _table_text(columns, [records] if isinstance(records, dict) else records)
 
 
