@@ -114,7 +114,8 @@ def _polylog_cases():
                 yield ("polylog", "--kind", kind, "--z", z, "--format", fmt), {}
         for z in ("0.5", "0.95", "0.999"):
             for tol in TOLERANCES:
-                yield ("polylog", "--kind", kind, "--z", z, "--tolerance", tol, "--format", "json"), {}
+                yield ("polylog", "--kind", kind, "--z", z, "--tolerance", tol,
+                       "--format", "json"), {}
         for z in ("0.5", "0.95", "0.999", "1"):
             for cap in MAX_TERMS:
                 yield ("polylog", "--kind", kind, "--z", z, "--max-terms", cap), {}
@@ -155,11 +156,13 @@ def _classify_cases():
     for p0 in ("199.53", "202", "205.93"):
         for mode in MODES:
             for window in WINDOWS:
-                yield ("classify", "--p0", p0, "--mode", mode, "--window", window, "--format", "json"), {}
+                yield ("classify", "--p0", p0, "--mode", mode, "--window", window,
+                       "--format", "json"), {}
     for p0 in ("150", "193.6", "205.935", "206.05"):
         for mode in MODES:
             for tol in TOLERANCES:
-                yield ("classify", "--p0", p0, "--mode", mode, "--tolerance", tol, "--format", "csv"), {}
+                yield ("classify", "--p0", p0, "--mode", mode, "--tolerance", tol,
+                       "--format", "csv"), {}
     for p0 in ("150", "193.6"):
         for mode in MODES:
             for cap in MAX_TERMS:
@@ -171,8 +174,9 @@ def _sweep_cases():
     grids = (
         ("100", "300", "3"), ("150", "250", "11"), ("199.53", "300", "2"), ("193", "207", "8"),
         (repr(p_cond * 0.99), repr(p_cond * 1.01), "5"), ("1e-320", "1", "2"), ("1", "1e308", "3"),
-        ("124.7", "124.72", "4"), ("205.9", "206.1", "5"), ("150", repr(math.nextafter(150, 200)), "2"),
-        ("150", repr(math.nextafter(150, 200)), "3"), ("5e-324", "1e-323", "2"),
+        ("124.7", "124.72", "4"), ("205.9", "206.1", "5"),
+        ("150", repr(math.nextafter(150, 200)), "2"), ("150", repr(math.nextafter(150, 200)), "3"),
+        ("5e-324", "1e-323", "2"),
         ("-1.7976931348623157e308", "1.7976931348623157e308", "2"),
     )
     for lo, hi, steps in grids:
@@ -249,7 +253,8 @@ def _environment_cases():
                 yield (command, *argv, flag, given), {variable: value}
     for tol in ("1e-10", "x"):
         for window in ("0.05", "x"):
-            yield ("classify", "--p0", "202", "--format", "json"), {"QGAS_TOL": tol, "QGAS_WINDOW": window}
+            env = {"QGAS_TOL": tol, "QGAS_WINDOW": window}
+            yield ("classify", "--p0", "202", "--format", "json"), env
     for value in ENV_VALUES:
         yield ("classify", "--p0", "202", "--mode", "paper"), {"QGAS_WINDOW": value}
         yield ("thresholds", "--format", "csv"), {"QGAS_TOL": value}
@@ -330,8 +335,8 @@ def main() -> None:
     CORPUS.write_text(text, encoding="utf-8")
     exits = Counter(record["exit"] for record in records)
     print(
-        f"{len(records)} cases, {len(text.encode())} bytes, exit codes {dict(sorted(exits.items()))}, "
-        f"{time.perf_counter() - start:.2f} s"
+        f"{len(records)} cases, {len(text.encode())} bytes, "
+        f"exit codes {dict(sorted(exits.items()))}, {time.perf_counter() - start:.2f} s"
     )
 
 

@@ -61,14 +61,14 @@ def load_cases(path=CORPUS):
 
 
 def _observed(case, code, stdout, stderr, files):
-    """What of one run is compared with ``case``: everything, or the shape of argparse's own text."""
+    """What of a run is compared: all of it, or only the shape of argparse's own text."""
     if case["argparse"]:
         return code, bool(stdout), bool(stderr), files
     return code, stdout, stderr, files
 
 
 def replay(cases):
-    """Run every case in a fresh temporary directory; return one line per case that differs."""
+    """Run every case in an empty temporary directory; return one line per case that differs."""
     differ = []
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
@@ -80,7 +80,8 @@ def replay(cases):
                     case, case["exit"], case["stdout"], case["stderr"], case["files"]
                 )
                 if got != want:
-                    differ.append(f"case {number} {case['argv']} {case['env']}: {got!r} != {want!r}")
+                    where = f"case {number} {case['argv']} {case['env']}"
+                    differ.append(f"{where}: {got!r}, want {want!r}")
         finally:
             os.chdir(home)
     return differ
