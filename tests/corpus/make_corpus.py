@@ -11,7 +11,8 @@ both nominal thresholds, of their window edges, of e, of H(1), of H(1e-9)
 and of the condensation fixed point; grid edges; bad numbers and
 non-numbers; negative numbers spelled with and without ``=``; ``QGAS_TOL``
 and ``QGAS_WINDOW``; tolerances up to and past the root bracket; term caps
-that trip; usage errors; ``--help``; and ``--out``.
+that trip; usage errors; ``--help``; ``--out``; and a few invocations at
+default settings, as a user first types them.
 
 The corpus pins output: regenerate it only in a change that means to alter
 some, and count the changed cases by kind (``git diff`` shows one line per
@@ -294,12 +295,27 @@ def _out_cases():
     yield ("polylog", "--kind", "bose", "--z", "0.95", "--max-terms", "10", "--out", "out.txt"), {}
 
 
+def _smoke_cases():
+    """Invocations run at the default format or settings, as a user types them first."""
+    for argv in (
+        ("polylog", "--kind", "bose", "--z", "0.5"),
+        ("thresholds", "--tolerance", "1e-3", "--format", "json"),
+        ("classify", "--p0", "150", "--format", "json"),
+        ("sweep", "--p-min", "150", "--p-max", "250", "--steps", "11", "--format", "csv"),
+        ("occupation", "--z", "0.5", "--branch", "fermi", "--beta-eps-min", "0",
+         "--beta-eps-max", "1", "--steps", "3"),
+        ("thresholds", "--tolerance", "2"),
+        ("classify", "--p0", "193.6", "--mode", "self", "--tolerance", "2"),
+    ):
+        yield argv, {}
+
+
 def cases():
     """Every (argv, env) case once, in a fixed order."""
     seen = {}
     for source in (
         _polylog_cases, _thresholds_cases, _classify_cases, _sweep_cases, _occupation_cases,
-        _negative_cases, _environment_cases, _usage_cases, _out_cases,
+        _negative_cases, _environment_cases, _usage_cases, _out_cases, _smoke_cases,
     ):
         for argv, env in source():
             seen.setdefault((argv, tuple(sorted(env.items()))), (list(argv), env))
