@@ -19,7 +19,6 @@ import sys
 from .errors import (
     ConvergenceError,
     DomainError,
-    QuadratureError,
     SingularityError,
     TruncationError,
     _POSITIVE,
@@ -277,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, SingularityError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (TruncationError, QuadratureError, ConvergenceError) as exc:
+    except (TruncationError, ConvergenceError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -11,7 +11,6 @@ __all__ = [
 ]
 
 import math
-from numbers import Integral
 from operator import itemgetter
 
 from .errors import (
@@ -91,7 +90,7 @@ def row_from_report(report: RegimeReport) -> SweepRow:
 
 def _check_grid(lo, hi, steps: int, lo_name: str, hi_name: str) -> tuple[float, float]:
     """The grid bounds as floats; DomainError when no finite grid can be built from them."""
-    if not (isinstance(steps, Integral) and steps >= 2):
+    if not (hasattr(type(steps), "__index__") and steps >= 2):
         raise DomainError(f"steps must be an integer of at least 2, got {_shown(steps)}")
     _real(steps, "steps")  # the grid divides by steps - 1 as a float
     # Both convert before either is tested: a non-number outranks an infinite bound.

@@ -11,8 +11,8 @@ both nominal thresholds, of their window edges, of e, of H(1), of H(1e-9)
 and of the condensation fixed point; grid edges; bad numbers and
 non-numbers; negative numbers spelled with and without ``=``; ``QGAS_TOL``
 and ``QGAS_WINDOW``; tolerances up to and past the root bracket; term caps
-that trip; usage errors; ``--help``; ``--out``; and a few invocations at
-default settings, as a user first types them.
+that trip; usage errors; ``--help``; ``--out``; and a few plain invocations
+with few options.
 
 The corpus pins output: regenerate it only in a change that means to alter
 some, and count the changed cases by kind (``git diff`` shows one line per
@@ -296,7 +296,7 @@ def _out_cases():
 
 
 def _smoke_cases():
-    """Invocations run at the default format or settings, as a user types them first."""
+    """Plain invocations with few options, as a smoke test of an install runs them."""
     for argv in (
         ("polylog", "--kind", "bose", "--z", "0.5"),
         ("thresholds", "--tolerance", "1e-3", "--format", "json"),

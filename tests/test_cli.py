@@ -22,9 +22,7 @@ from qgas.regime import (
     threshold_dilution,
 )
 
-
-def _reject_constant(name):
-    raise ValueError(f"{name} is not JSON")
+from test_corpus import _nonfinite
 
 
 @pytest.fixture()
@@ -614,7 +612,7 @@ class TestContract:
     def test_every_subcommand_emits_valid_json(self, cli, argv):
         code, out, _ = cli(*argv, "--format", "json")
         assert code == EXIT_OK
-        json.loads(out, parse_constant=_reject_constant)
+        assert _nonfinite("json", out) == ""
 
     @pytest.mark.parametrize(
         "argv",
@@ -673,8 +671,9 @@ class TestContract:
 
     def test_import_loads_no_heavy_module(self):
         # The records are plain classes, JSON is loaded on first use, and
-        # every annotation evaluates as written, without __future__.
-        heavy = "{'__future__', 'dataclasses', 'inspect', 'json'}"
+        # every annotation evaluates as written, without __future__; grid
+        # steps are checked without the numbers ABCs.
+        heavy = "{'__future__', 'dataclasses', 'inspect', 'json', 'numbers'}"
         probe = f"import sys, qgas.cli; print(sorted({heavy} & set(sys.modules)))"
         src = os.path.dirname(os.path.dirname(qgas.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -792,24 +791,6 @@ def _scan_cases(command):
          "--steps", "3")
         for branch in ("bose", "fermi") for z in _EDGES for lo in _EDGES
     ]
-
-
-def _nonfinite(fmt, out):
-    """Why ``out`` is not strict, finite JSON or CSV, or "" when it is."""
-    if fmt == "json":
-        try:
-            json.loads(out, parse_constant=_reject_constant)
-        except ValueError as exc:
-            return str(exc)
-        return ""
-    for cell in out.replace("\n", ",").split(","):
-        try:
-            number = float(cell)
-        except ValueError:
-            continue
-        if not math.isfinite(number):
-            return f"cell {cell!r}"
-    return ""
 
 
 class TestStrictNumbers:

@@ -9,18 +9,24 @@ that text differs between Python releases, so for those cases only the exit
 code, which streams are non-empty and the files are compared.  Every other
 case is compared byte for byte.
 
+Two checks read the recorded cases alone.  Every exit-0 case asked for CSV or
+JSON holds only strict, finite numbers: no ``NaN`` or ``Infinity`` in JSON and
+no non-finite CSV cell.  And each subcommand's cases reach exactly the exit
+codes of ``EXITS_REACHED``, so a regeneration cannot drop a kind of case.
+
 Runs under pytest, or as a script that needs nothing but ``qgas``::
 
     PYTHONPATH=src python tests/test_corpus.py
 
-which prints each case that differs and exits 1 if any does.  To
-regenerate the corpus after an intended output change, see
+which prints each case that differs or fails a check, and exits 1 if any
+does.  To regenerate the corpus after an intended output change, see
 ``corpus/make_corpus.py``.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -29,6 +35,15 @@ from pathlib import Path
 from qgas.cli import main
 
 CORPUS = Path(__file__).parent / "corpus" / "cli.jsonl"
+
+# The exit codes each subcommand's cases reach.
+EXITS_REACHED = {
+    "polylog": {0, 1, 2, 3, 4},
+    "thresholds": {0, 1, 2, 3, 4},
+    "classify": {0, 1, 2, 3, 4},
+    "sweep": {0, 1, 2, 3, 4},
+    "occupation": {0, 1, 2, 4},
+}
 
 
 def run_case(argv, env):
@@ -87,6 +102,54 @@ def replay(cases):
     return differ
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _nonfinite(fmt, out):
+    """Why ``out`` is not strict, finite JSON or CSV, or "" when it is."""
+    if fmt == "json":
+        try:
+            json.loads(out, parse_constant=_reject_constant)
+        except ValueError as exc:
+            return str(exc)
+        return ""
+    for cell in out.replace("\n", ",").split(","):
+        try:
+            number = float(cell)
+        except ValueError:
+            continue
+        if not math.isfinite(number):
+            return f"cell {cell!r}"
+    return ""
+
+
+def nonfinite_outputs(cases):
+    """One line per exit-0 CSV or JSON case whose output, or file written, is not strict."""
+    found = []
+    for number, case in enumerate(cases, 1):
+        argv = case["argv"]
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+        if case["exit"] == 0 and fmt in ("csv", "json"):
+            for out in case["files"].values() or [case["stdout"]]:
+                if reason := _nonfinite(fmt, out):
+                    found.append(f"case {number} {argv} {case['env']}: {reason}")
+    return found
+
+
+def coverage_gaps(cases):
+    """One line per subcommand whose cases do not reach exactly its ``EXITS_REACHED``."""
+    reached = {command: set() for command in EXITS_REACHED}
+    for case in cases:
+        if case["argv"] and case["argv"][0] in reached:
+            reached[case["argv"][0]].add(case["exit"])
+    return [
+        f"{command} cases reach exit codes {sorted(got)}, want {sorted(EXITS_REACHED[command])}"
+        for command, got in reached.items()
+        if got != EXITS_REACHED[command]
+    ]
+
+
 def test_corpus_replays_identically():
     cases = load_cases()
     assert len(cases) >= 3000
@@ -94,10 +157,19 @@ def test_corpus_replays_identically():
     assert replay(cases) == []
 
 
+def test_exit_0_csv_and_json_are_strict_and_finite():
+    assert nonfinite_outputs(load_cases()) == []
+
+
+def test_each_subcommand_reaches_its_exit_codes():
+    assert coverage_gaps(load_cases()) == []
+
+
 if __name__ == "__main__":
     cases = load_cases()
     differ = replay(cases)
-    for line in differ:
+    failed = [*differ, *nonfinite_outputs(cases), *coverage_gaps(cases)]
+    for line in failed:
         print(line)
     print(f"{len(cases) - len(differ)} of {len(cases)} cases replayed identically")
-    sys.exit(1 if differ else 0)
+    sys.exit(1 if failed else 0)

@@ -2,6 +2,8 @@
 
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -97,6 +99,16 @@ class TestSweepSpec:
         with pytest.raises(DomainError) as err:
             build(10**400)
         assert str(err.value) == f"steps must be a real number, got {10**400!r}"
+
+    @pytest.mark.parametrize("steps", [3.0, "3", Fraction(3), Decimal(3), None, True])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda steps: SweepSpec(1.0, 2.0, steps), lambda steps: occupation_curve(0.5, 0.0, 1.0, steps)],
+        ids=["SweepSpec", "occupation_curve"],
+    )
+    def test_steps_must_be_an_integer_of_at_least_two(self, build, steps):
+        with pytest.raises(DomainError, match="^steps must be an integer of at least 2, got "):
+            build(steps)
 
 
 class TestRunSweep:
