@@ -1,4 +1,7 @@
-"""Regenerate ``cli.jsonl``, the CLI behaviour corpus that ``tests/test_corpus.py`` replays.
+"""Regenerate the behaviour corpus that ``tests/test_corpus.py`` replays.
+
+``cli.jsonl`` records CLI invocations and ``reports.jsonl`` records the
+classifiers' reports.
 
 Run from the repository root::
 
@@ -13,6 +16,14 @@ non-numbers; negative numbers spelled with and without ``=``; ``QGAS_TOL``
 and ``QGAS_WINDOW``; tolerances up to and past the root bracket; term caps
 that trip; usage errors; ``--help``; ``--out``; and a few plain invocations
 with few options.
+
+Each report record calls ``classify_paper``, ``classify_selfconsistent`` or
+``classify_both`` with keyword arguments and keeps the report's ``repr``, or
+the refusal's exception type and message.  The momenta are the CLI edge
+momenta, the float neighbours of both nominal thresholds, of the printed
+self-consistent condensation edge and of (4*pi)**2.5 / e, and a spread of
+plain and bad values; each meets a few windows and tolerances, and inputs
+with two or three bad arguments pin which check refuses first.
 
 The corpus pins output: regenerate it only in a change that means to alter
 some, and count the changed cases by kind (``git diff`` shows one line per
@@ -41,7 +52,7 @@ from qgas.regime import (  # noqa: E402
     condensation_fixed_point,
     threshold_condensation,
 )
-from test_corpus import CORPUS, run_case  # noqa: E402
+from test_corpus import CORPUS, REPORTS, report_of, run_case  # noqa: E402
 
 FORMATS = ("text", "csv", "json")
 MODES = ("paper", "self", "both")
@@ -67,6 +78,8 @@ ENV_VALUES = (
     "1e-10", "1e-12", "0.05", "0.5", " 0.1 ", "2", "banana", "", "nan", "-1", "inf", "1e400", "0",
     "1_0",
 )
+REPORT_WINDOWS = (0.01, 1e-6, 0.5)
+REPORT_TOLERANCES = (1e-12, 1e-6, 0.1)
 MINIMAL = {
     "polylog": ("--kind", "bose", "--z", "0.5"),
     "thresholds": (),
@@ -322,6 +335,34 @@ def cases():
     return list(seen.values())
 
 
+def report_calls():
+    """Every (classifier, keyword arguments) call of ``reports.jsonl``, in a fixed order."""
+    fixed_edge = threshold_condensation(condensation_fixed_point().b)
+    momenta = [float(p0) for p0 in _momenta_on_edges()]
+    for centre in (
+        P_CONDENSATION_NOMINAL, P_DILUTION_NOMINAL, fixed_edge, COUPLING_CONSTANT / math.e
+    ):
+        momenta += map(float, _neighbours(centre, 4))
+    momenta += [
+        1e-310, 1e308, 100.0, 124.7, 150.0, 190.0, 193.6, 200, 202.0, 206.05, 210.0, 250.0, 1000.0
+    ]
+    for p0 in dict.fromkeys(momenta):  # each momentum once, in first-seen order
+        for window in REPORT_WINDOWS:
+            yield "classify_paper", {"p0": p0, "window": window}
+        for tol in REPORT_TOLERANCES:
+            yield "classify_selfconsistent", {"p0": p0, "tol": tol}
+            for window in REPORT_WINDOWS:
+                yield "classify_both", {"p0": p0, "window": window, "tol": tol}
+    # One good value first, then bad ones: each pair and triple shows which check refuses first.
+    for p0 in (150.0, math.nan, -1.0, 0.0, 1e-320, math.inf, 10 ** 400, "x", None):
+        for window in (0.01, 0.0, -1.0, math.nan, math.inf, "x"):
+            yield "classify_paper", {"p0": p0, "window": window}
+            for tol in (1e-12, 0.0, 2.0, math.nan, math.inf, "x"):
+                yield "classify_both", {"p0": p0, "window": window, "tol": tol}
+        for tol in (1e-12, 0.0, 2.0, math.nan, math.inf, "x"):
+            yield "classify_selfconsistent", {"p0": p0, "tol": tol}
+
+
 def _argparse_decides(argv) -> bool:
     """Whether argparse ends this call itself: ``--help``, or one of its own parse errors."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -350,9 +391,18 @@ def main() -> None:
     text = "".join(json.dumps(record, separators=(",", ":")) + "\n" for record in records)
     CORPUS.write_text(text, encoding="utf-8")
     exits = Counter(record["exit"] for record in records)
+    reports = [
+        {"call": call, "kwargs": kwargs, **report_of(call, kwargs)}
+        for call, kwargs in report_calls()
+    ]
+    REPORTS.write_text(
+        "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in reports), encoding="utf-8"
+    )
+    refused = sum("raised" in r for r in reports)
     print(
         f"{len(records)} cases, {len(text.encode())} bytes, "
-        f"exit codes {dict(sorted(exits.items()))}, {time.perf_counter() - start:.2f} s"
+        f"exit codes {dict(sorted(exits.items()))}; {len(reports)} reports, {refused} refused; "
+        f"{time.perf_counter() - start:.2f} s"
     )
 
 

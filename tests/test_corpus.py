@@ -14,12 +14,17 @@ JSON holds only strict, finite numbers: no ``NaN`` or ``Infinity`` in JSON and
 no non-finite CSV cell.  And each subcommand's cases reach exactly the exit
 codes of ``EXITS_REACHED``, so a regeneration cannot drop a kind of case.
 
+Each line of ``corpus/reports.jsonl`` is one call of ``classify_paper``,
+``classify_selfconsistent`` or ``classify_both``: its name, its keyword
+arguments, and the ``repr`` of the report or the refusal's exception type and
+message.  Every record is compared exactly.
+
 Runs under pytest, or as a script that needs nothing but ``qgas``::
 
     PYTHONPATH=src python tests/test_corpus.py
 
-which prints each case that differs or fails a check, and exits 1 if any
-does.  To regenerate the corpus after an intended output change, see
+which prints each case or report that differs or fails a check, and exits 1
+if any does.  To regenerate the corpus after an intended output change, see
 ``corpus/make_corpus.py``.
 """
 
@@ -32,9 +37,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+from qgas import regime
 from qgas.cli import main
+from qgas.errors import QgasError
 
 CORPUS = Path(__file__).parent / "corpus" / "cli.jsonl"
+REPORTS = Path(__file__).parent / "corpus" / "reports.jsonl"
 
 # The exit codes each subcommand's cases reach.
 EXITS_REACHED = {
@@ -102,6 +110,26 @@ def replay(cases):
     return differ
 
 
+def report_of(call, kwargs):
+    """``{"repr": ...}`` of ``regime.<call>(**kwargs)``, or ``{"raised": [type, message]}``."""
+    try:
+        return {"repr": repr(getattr(regime, call)(**kwargs))}
+    except QgasError as exc:
+        return {"raised": [type(exc).__name__, str(exc)]}
+
+
+def replay_reports(records):
+    """Make every recorded classifier call again; return one line per record that differs."""
+    differ = []
+    for number, record in enumerate(records, 1):
+        want = {key: record[key] for key in ("repr", "raised") if key in record}
+        got = report_of(record["call"], record["kwargs"])
+        if got != want:
+            where = f"report {number} {record['call']}({record['kwargs']})"
+            differ.append(f"{where}: {got!r}, want {want!r}")
+    return differ
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -157,6 +185,12 @@ def test_corpus_replays_identically():
     assert replay(cases) == []
 
 
+def test_classifier_reports_replay_identically():
+    records = load_cases(REPORTS)
+    assert len(records) >= 1000
+    assert replay_reports(records) == []
+
+
 def test_exit_0_csv_and_json_are_strict_and_finite():
     assert nonfinite_outputs(load_cases()) == []
 
@@ -166,10 +200,11 @@ def test_each_subcommand_reaches_its_exit_codes():
 
 
 if __name__ == "__main__":
-    cases = load_cases()
-    differ = replay(cases)
-    failed = [*differ, *nonfinite_outputs(cases), *coverage_gaps(cases)]
+    cases, records = load_cases(), load_cases(REPORTS)
+    differ, reports_differ = replay(cases), replay_reports(records)
+    failed = [*differ, *reports_differ, *nonfinite_outputs(cases), *coverage_gaps(cases)]
     for line in failed:
         print(line)
     print(f"{len(cases) - len(differ)} of {len(cases)} cases replayed identically")
+    print(f"{len(records) - len(reports_differ)} of {len(records)} reports replayed identically")
     sys.exit(1 if failed else 0)
