@@ -30,13 +30,14 @@ from .regime import (
     B_DILUTION_NOMINAL,
     P_CONDENSATION_NOMINAL,
     P_DILUTION_NOMINAL,
+    _classify,
     condensation_fixed_point,
     threshold_condensation,
     threshold_dilution,
 )
 from .sweep import (
-    _COLUMNS, OCCUPATION_BRANCHES, SWEEP_MODES, SweepSpec, _classify, _csv_cell, _json_text,
-    _table_text, occupation_curve, row_from_report, run_sweep,
+    _COLUMNS, OCCUPATION_BRANCHES, SWEEP_MODES, SweepSpec, _csv_cell, _json_text, _table_text,
+    occupation_curve, row_from_report, run_sweep,
 )
 
 EXIT_OK = 0

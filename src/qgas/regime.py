@@ -169,7 +169,11 @@ def coupling_from_momentum(p0: float) -> float:
 
 def bose_constraint_lhs(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
     """H(z) = e*g(z)/z - g(z), the Bose side of the normalization relation."""
-    z = _real(z, "z", _UNIT_NO_ZERO)
+    return _bose_lhs(_real(z, "z", _UNIT_NO_ZERO), params)
+
+
+def _bose_lhs(z: float, params: SeriesParams) -> float:
+    """H(z) for a checked z in (0, 1]; g(1) is computed and discarded, as perfbench counts it."""
     g = bose_g32(z, params)
     if z == 1.0:
         return _H_AT_1
@@ -180,7 +184,11 @@ def fermi_constraint_lhs(
     z: float, series: str = "truncated", params: SeriesParams = DEFAULT_SERIES_PARAMS
 ) -> float:
     """Phi(z) = e*f(z)/z + f(z), the Fermi side of the normalization relation."""
-    z = _real(z, "z", _UNIT_NO_ZERO)
+    return _fermi_lhs(_real(z, "z", _UNIT_NO_ZERO), series, params)
+
+
+def _fermi_lhs(z: float, series: str, params: SeriesParams) -> float:
+    """Phi(z) for a checked z in (0, 1]; ``series`` is checked on every call."""
     _one_of(series, SERIES_VARIANTS, "series variant")
     f = _branch_series(z, f"fermi-{series}", params)
     return math.e * f / z + f
@@ -247,7 +255,7 @@ def solve_bose(
     notes on the dip of H below e).  Couplings below H(1e-9) = e - 3.894e-11
     return no-root "below"; couplings above H(1) return no-root "above".
     """
-    return _bracketed_bisect(lambda z: bose_constraint_lhs(z, params), coupling, tol)
+    return _bracketed_bisect(lambda z: _bose_lhs(z, params), coupling, tol)
 
 
 def solve_fermi(
@@ -261,7 +269,7 @@ def solve_fermi(
     Phi increases strictly from e to its z = 1 endpoint value, so the root
     is unique whenever it exists.
     """
-    return _bracketed_bisect(lambda z: fermi_constraint_lhs(z, series, params), coupling, tol)
+    return _bracketed_bisect(lambda z: _fermi_lhs(z, series, params), coupling, tol)
 
 
 def _threshold_momentum(name: str, b: float, denominator: float) -> float:
@@ -337,6 +345,18 @@ def _selfconsistent_label(
     return RegimeLabel.ABOVE_DILUTION, frozenset({FLAG_NO_BOSE_ROOT}), None
 
 
+def _classify(p0: float, mode: str, window: float, tol: float, params: SeriesParams) -> RegimeReport:
+    """The report of p0 under the rules ``mode`` names: "paper", "self" or "both"."""
+    coupling = coupling_from_momentum(p0)
+    paper, selfc, pair, flags = None, None, None, frozenset()
+    if mode != "self":
+        paper, flags = _paper_label(p0, _real(window, "window", _POSITIVE))
+    if mode != "paper":  # under "both", labels that differ add the near_threshold flag
+        selfc, more, pair = _selfconsistent_label(coupling, _real(tol, "tol", _POSITIVE), params)
+        flags |= more | ({FLAG_NEAR_THRESHOLD} if paper not in (None, selfc) else set())
+    return RegimeReport(float(p0), coupling, paper, selfc, pair, flags)
+
+
 def classify_paper(p0: float, window: float = 0.01) -> RegimeReport:
     """Classify p0 against the two named thresholds with a relative window.
 
@@ -348,9 +368,7 @@ def classify_paper(p0: float, window: float = 0.01) -> RegimeReport:
     overlap is disclosed, never hidden.  Outside both windows, a momentum
     within twice either window carries the near_threshold flag.
     """
-    coupling = coupling_from_momentum(p0)
-    label, flags = _paper_label(p0, _real(window, "window", _POSITIVE))
-    return RegimeReport(float(p0), coupling, label, None, None, flags)
+    return _classify(p0, "paper", window, None, None)
 
 
 def classify_selfconsistent(
@@ -366,9 +384,7 @@ def classify_selfconsistent(
     AnomalousFermionic.  Couplings below H(1e-9) = e - 3.894e-11 and not
     within tol of e map to AboveDilution with the no_bose_root flag.
     """
-    coupling = coupling_from_momentum(p0)
-    label, flags, pair = _selfconsistent_label(coupling, _real(tol, "tol", _POSITIVE), params)
-    return RegimeReport(float(p0), coupling, None, label, pair, flags)
+    return _classify(p0, "self", None, tol, params)
 
 
 def classify_both(
@@ -383,8 +399,4 @@ def classify_both(
     gains the near_threshold flag: disagreement happens where the nominal
     windows and the solved relation pull apart.
     """
-    coupling = coupling_from_momentum(p0)
-    paper, paper_flags = _paper_label(p0, _real(window, "window", _POSITIVE))
-    selfc, flags, pair = _selfconsistent_label(coupling, _real(tol, "tol", _POSITIVE), params)
-    near = frozenset({FLAG_NEAR_THRESHOLD} if paper != selfc else ())
-    return RegimeReport(float(p0), coupling, paper, selfc, pair, paper_flags | flags | near)
+    return _classify(p0, "both", window, tol, params)

@@ -19,10 +19,7 @@ from .errors import (
 )
 from .gas import occupation_bose, occupation_fermi
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams
-from .regime import (
-    SERIES_VARIANTS, RegimeReport, _ordered_flags, classify_both, classify_paper,
-    classify_selfconsistent,
-)
+from .regime import SERIES_VARIANTS, RegimeReport, _classify, _ordered_flags
 
 SWEEP_MODES = ("paper", "self", "both")
 OCCUPATION_BRANCHES = ("bose", "fermi")
@@ -109,17 +106,6 @@ def _inclusive_grid(lo: float, hi: float, steps: int):
     for i in range(steps - 1):
         yield lo + span * i / (steps - 1)
     yield hi
-
-
-def _classify(
-    p0: float, mode: str, window: float, tol: float, params: SeriesParams
-) -> RegimeReport:
-    """The report of the classifier that ``mode`` (one of SWEEP_MODES) names."""
-    if mode == "paper":
-        return classify_paper(p0, window)
-    if mode == "self":
-        return classify_selfconsistent(p0, tol=tol, params=params)
-    return classify_both(p0, window, tol=tol, params=params)
 
 
 def run_sweep(

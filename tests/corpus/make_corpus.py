@@ -354,12 +354,14 @@ def report_calls():
             for window in REPORT_WINDOWS:
                 yield "classify_both", {"p0": p0, "window": window, "tol": tol}
     # One good value first, then bad ones: each pair and triple shows which check refuses first.
+    windows = (0.01, 0.0, -1.0, math.nan, math.inf, "x")
+    tols = (1e-12, 0.0, 2.0, math.nan, math.inf, "x")
     for p0 in (150.0, math.nan, -1.0, 0.0, 1e-320, math.inf, 10 ** 400, "x", None):
-        for window in (0.01, 0.0, -1.0, math.nan, math.inf, "x"):
+        for window in windows:
             yield "classify_paper", {"p0": p0, "window": window}
-            for tol in (1e-12, 0.0, 2.0, math.nan, math.inf, "x"):
+            for tol in tols:
                 yield "classify_both", {"p0": p0, "window": window, "tol": tol}
-        for tol in (1e-12, 0.0, 2.0, math.nan, math.inf, "x"):
+        for tol in tols:
             yield "classify_selfconsistent", {"p0": p0, "tol": tol}
 
 

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qgas
-from qgas.errors import ConvergenceError, DomainError
+from qgas.errors import ConvergenceError, DomainError, _real
 from qgas.gas import (
     FugacityPair,
     NaturalUnits,
@@ -263,9 +263,9 @@ class TestSolveBose:
 
         def counting(z, params):
             seen.append(z)
-            return bose_constraint_lhs(z, params)
+            return bose_g32(z, params)
 
-        monkeypatch.setattr("qgas.regime.bose_constraint_lhs", counting)
+        monkeypatch.setattr("qgas.regime.bose_g32", counting)
         message = r"^bisection cannot narrow \[\S+, \S+\] to width 1e-17: "
         with pytest.raises(ConvergenceError, match=message):
             solve_bose(4.0, tol=1e-17)
@@ -308,6 +308,24 @@ class TestSolveFermi:
     def test_unknown_series(self):
         with pytest.raises(DomainError):
             solve_fermi(3.0, series="exact")
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [lambda: solve_bose(4.0), lambda: solve_fermi(math.e + 0.001, "full")],
+    ids=["bose", "fermi"],
+)
+def test_a_solve_checks_its_arguments_once_and_no_midpoint(monkeypatch, solve):
+    # The coupling and tol are checked on entry; the bisected curve checks nothing per midpoint.
+    checked = []
+
+    def counting(value, name, bounds=None):
+        checked.append(name)
+        return _real(value, name, bounds)
+
+    monkeypatch.setattr("qgas.regime._real", counting)
+    assert solve().found
+    assert checked == ["coupling", "tol"]
 
 
 class TestThresholds:
