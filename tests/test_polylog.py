@@ -36,12 +36,17 @@ TENTHS = [k / 10.0 for k in range(1, 10)]
 
 unit_z = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
+# The points where the power series below z = 1/2 gains a term,
+# z = exp(-17 ln 10 / j); from j = 47 on the count is capped at 49.
+TERM_COUNT_SEAMS = [math.exp(-17.0 * math.log(10.0) / j) for j in range(1, 48)]
+
 # Oracle points: the subnormal and tiny end, both sides of the z = 1/2 split
 # between power series and z -> 1 expansion (and of z = sqrt(1/2), where the
-# Fermi duplication's g(z*z) crosses it), a mid-band grid, and the approach
-# to z = 1.  mpmath's polylog(1.5, -z) takes ~70 ms for z above ~0.89, so
-# the grid stops at 7/8 and the approach uses few points.
-_SPLITS = (0.5, math.sqrt(0.5))
+# Fermi duplication's g(z*z) crosses it), four of the term-count seams, a
+# mid-band grid, and the approach to z = 1.  mpmath's polylog(1.5, -z) takes
+# ~70 ms for z above ~0.89, so the grid stops at 7/8 and the approach uses
+# few points.
+_SPLITS = (0.5, math.sqrt(0.5), *(TERM_COUNT_SEAMS[j - 1] for j in (3, 10, 30, 47)))
 ORACLE_Z = sorted(
     {5e-324, 1e-300, 1e-9, 1e-3}
     | {math.nextafter(z, toward) for z in _SPLITS for toward in (0.0, 1.0)}
@@ -201,12 +206,49 @@ def test_strict_monotonicity_on_grid():
         assert prev < curr
 
 
+def _floats_around(z, count):
+    """``z`` and the ``count`` floats on each side of it, in increasing order."""
+    below, above = [z], [z]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    return below[:0:-1] + above
+
+
+def test_nondecreasing_through_the_power_series_seams():
+    # Below z = 1/2 every Horner step is monotone in z and a larger z never
+    # sums fewer terms, so no step between neighbouring floats goes down:
+    # through each term-count seam, and up to 1/2 and across the route split.
+    walks = [_floats_around(z, 400) for z in TERM_COUNT_SEAMS]
+    walks.append(_floats_around(0.5, 400)[:402])
+    for zs in walks:
+        values = [bose_g32(z) for z in zs]
+        assert all(prev <= curr for prev, curr in zip(values, values[1:]))
+
+
+def test_steps_above_one_half_fall_by_at_most_3_ulp():
+    # Robinson's route is not monotone between neighbouring floats: its
+    # rounding can take a step down.  Pin how far, on walks of 300 floats up
+    # from 101 points spread over [1/2, 1] and from 1 - 10**-k.
+    worst = 0.0
+    for start in [0.5 + k / 200.0 for k in range(101)] + [1.0 - 10.0**-k for k in range(3, 16)]:
+        z, prev = start, bose_g32(start)
+        for _ in range(300):
+            z = math.nextafter(z, 2.0)
+            if z > 1.0:
+                break
+            curr = bose_g32(z)
+            worst = max(worst, (prev - curr) / math.ulp(curr))
+            prev = curr
+    assert worst <= 3.0
+
+
 @pytest.mark.parametrize("z", ORACLE_Z)
 def test_relative_error_against_mpmath(z):
     with mpmath.workdps(30):
         g_ref = mpmath.re(mpmath.polylog(1.5, z))
         f_ref = -mpmath.re(mpmath.polylog(1.5, -z))
-        assert abs(bose_g32(z) - g_ref) <= 1e-14 * g_ref
+        assert abs(bose_g32(z) - g_ref) <= 1e-15 * g_ref
         assert abs(bose_g32_quadrature(z) - g_ref) <= 1e-14 * g_ref
         assert abs(fermi_f32_full(z) - f_ref) <= 1e-14 * f_ref
 
