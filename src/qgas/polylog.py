@@ -96,6 +96,7 @@ class SeriesParams(_Record):
 
     tolerance = 1e-12
     max_terms = 100_000
+    __slots__ = ("_cap_from",)
 
     def __init__(self, tolerance: float = tolerance, max_terms: int = max_terms):
         if not (isinstance(tolerance, float) and math.isfinite(tolerance) and tolerance > 0):
@@ -103,6 +104,14 @@ class SeriesParams(_Record):
         if not (isinstance(max_terms, int) and not isinstance(max_terms, bool) and max_terms >= 1):
             raise DomainError(f"max_terms must be a positive integer, got {_shown(max_terms)}")
         vars(self).update(tolerance=tolerance, max_terms=max_terms)
+        # The cap trips only from z_cap = (tolerance * m**1.5)**(1/min(m, 2**20)) up. The evaluators
+        # check it from z_cap * (1 - 1e-9), far past rounding, and always for a subnormal tolerance.
+        log_cap = (math.log(tolerance) + 1.5 * math.log(max_terms)) / min(max_terms, 2**20)
+        cap_from = math.exp(log_cap) * (1.0 - 1e-9) if tolerance >= 2.0**-1022 else 0.0
+        object.__setattr__(self, "_cap_from", cap_from)
+
+    def __reduce__(self):  # rebuild the slot: copying and unpickling would set it, which is refused
+        return self.__class__, (self.tolerance, self.max_terms)
 
 
 DEFAULT_SERIES_PARAMS = SeriesParams()
@@ -135,16 +144,12 @@ def _check_term_cap(z: float, params: SeriesParams, alternating: bool) -> None:
 
     The terms z**k / k**1.5 decrease, so the direct series stops within
     ``max_terms`` exactly when its term at the cap is below ``tolerance``.
-    Above z = 0.999 no cap is enforced: there no practical cap meets a
-    tight tolerance, and the closed form needs none.
+    The evaluators call this only for z <= 0.999: above it no practical cap
+    meets a tight tolerance, and the closed form needs none.
     """
-    if z > 0.999:
-        return
     m = params.max_terms
-    # z ** m converts m to a float, which overflows for m >= 2**1024, and so
-    # does m ** -1.5.  z ** 2**20 is already 0.0 for z <= 0.999.  A
-    # conditional, not min(): this runs on every evaluation.
-    last_term = z ** (m if m < 2**20 else 2**20) * math.exp(-1.5 * math.log(m))
+    # m as a float overflows from 2**1024 on, and z ** 2**20 is already 0.0 for z <= 0.999.
+    last_term = z ** min(m, 2**20) * math.exp(-1.5 * math.log(m))
     if last_term < params.tolerance:
         return
     sign = -1.0 if alternating else 1.0
@@ -191,7 +196,8 @@ def bose_g32(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
     z = _real(z, "z", _UNIT)
     if z == 0.0:
         return 0.0
-    _check_term_cap(z, params, alternating=False)
+    if params._cap_from <= z <= 0.999:
+        _check_term_cap(z, params, alternating=False)
     return _g32(z, -math.log(z))
 
 
@@ -207,7 +213,8 @@ def fermi_f32_full(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> fl
     z = _real(z, "z", _UNIT)
     if z == 0.0:
         return 0.0
-    _check_term_cap(z, params, alternating=True)
+    if params._cap_from <= z <= 0.999:
+        _check_term_cap(z, params, alternating=True)
     a = -math.log(z)
     return _g32(z, a) - 2.0 ** -0.5 * _g32(z * z, 2.0 * a)
 

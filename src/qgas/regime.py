@@ -345,16 +345,23 @@ def _selfconsistent_label(
     return RegimeLabel.ABOVE_DILUTION, frozenset({FLAG_NO_BOSE_ROOT}), None
 
 
+def _labels(p0: float, coupling: float, mode: str, window: float, tol: float, params: SeriesParams):
+    """The report fields after p0 (coupling, both labels, pair, flags) for checked arguments."""
+    paper, selfc, pair, flags = None, None, None, frozenset()
+    if mode != "self":
+        paper, flags = _paper_label(p0, window)
+    if mode != "paper":  # under "both", labels that differ add the near_threshold flag
+        selfc, more, pair = _selfconsistent_label(coupling, tol, params)
+        flags |= more | ({FLAG_NEAR_THRESHOLD} if paper not in (None, selfc) else set())
+    return coupling, paper, selfc, pair, flags
+
+
 def _classify(p0: float, mode: str, window: float, tol: float, params: SeriesParams) -> RegimeReport:
     """The report of p0 under the rules ``mode`` names: "paper", "self" or "both"."""
     coupling = coupling_from_momentum(p0)
-    paper, selfc, pair, flags = None, None, None, frozenset()
-    if mode != "self":
-        paper, flags = _paper_label(p0, _real(window, "window", _POSITIVE))
-    if mode != "paper":  # under "both", labels that differ add the near_threshold flag
-        selfc, more, pair = _selfconsistent_label(coupling, _real(tol, "tol", _POSITIVE), params)
-        flags |= more | ({FLAG_NEAR_THRESHOLD} if paper not in (None, selfc) else set())
-    return RegimeReport(float(p0), coupling, paper, selfc, pair, flags)
+    window = _real(window, "window", _POSITIVE) if mode != "self" else None
+    tol = _real(tol, "tol", _POSITIVE) if mode != "paper" else None
+    return RegimeReport(float(p0), *_labels(p0, coupling, mode, window, tol, params))
 
 
 def classify_paper(p0: float, window: float = 0.01) -> RegimeReport:

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .gas import occupation_bose, occupation_fermi
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams
-from .regime import SERIES_VARIANTS, RegimeReport, _classify, _ordered_flags
+from .regime import SERIES_VARIANTS, RegimeReport, _labels, _ordered_flags, coupling_from_momentum
 
 SWEEP_MODES = ("paper", "self", "both")
 OCCUPATION_BRANCHES = ("bose", "fermi")
@@ -67,22 +67,17 @@ _COLUMNS = (
 )
 
 
+def _row(p0: float, coupling: float, paper, selfc, pair, flags) -> SweepRow:
+    """The row of one classification, from the fields of its RegimeReport in order."""
+    return SweepRow(
+        p0, coupling, paper and paper.value, selfc and selfc.value, pair and "bose",
+        pair and pair.z, pair and pair.z_prime, pair and pair.b, _ordered_flags(flags),
+    )
+
+
 def row_from_report(report: RegimeReport) -> SweepRow:
     """Flatten a RegimeReport into the serializable row shape."""
-    pair = report.fugacity
-    return SweepRow(
-        p0=report.momentum,
-        K=report.coupling,
-        paper_label=report.paper_label.value if report.paper_label else None,
-        selfconsistent_label=(
-            report.selfconsistent_label.value if report.selfconsistent_label else None
-        ),
-        branch="bose" if pair else None,
-        z=pair.z if pair else None,
-        z_prime=pair.z_prime if pair else None,
-        b=pair.b if pair else None,
-        flags=_ordered_flags(report.flags),
-    )
+    return _row(*vars(report).values())
 
 
 def _check_grid(lo, hi, steps: int, lo_name: str, hi_name: str) -> tuple[float, float]:
@@ -108,12 +103,10 @@ def _inclusive_grid(lo: float, hi: float, steps: int):
     yield hi
 
 
-def run_sweep(
-    spec: SweepSpec, params: SeriesParams = DEFAULT_SERIES_PARAMS
-) -> list[SweepRow]:
-    """Classify every point of the linear grid described by ``spec``."""
+def run_sweep(spec: SweepSpec, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> list[SweepRow]:
+    """Classify every grid point of ``spec`` (which checked its settings); p0 is checked here."""
     return [
-        row_from_report(_classify(p0, spec.mode, spec.window, spec.tol, params))
+        _row(p0, *_labels(p0, coupling_from_momentum(p0), spec.mode, spec.window, spec.tol, params))
         for p0 in _inclusive_grid(spec.p_min, spec.p_max, spec.steps)
     ]
 
@@ -130,9 +123,9 @@ def _csv_cell(value) -> str:
 
 
 def _json_text(payload) -> str:
-    """Deterministic JSON: two-space indent, keys in insertion order, trailing newline."""
-    import json  # on first use: the CSV and text paths never load it
-    return json.dumps(payload, indent=2) + "\n"
+    """``payload``, a dict or a list of flat dicts, as indented JSON with a trailing newline."""
+    from ._json_writer import to_json  # on first use: `import qgas` need not compile the writer
+    return to_json(payload, "") + "\n"
 
 
 def _table_text(columns: tuple[str, ...], records) -> str:

@@ -670,7 +670,7 @@ class TestContract:
         assert done.stdout.startswith("usage: qgas")
 
     def test_import_loads_no_heavy_module(self):
-        # The records are plain classes, JSON is loaded on first use, and
+        # The records are plain classes, no qgas code imports json, and
         # every annotation evaluates as written, without __future__; grid
         # steps are checked without the numbers ABCs.
         heavy = "{'__future__', 'dataclasses', 'inspect', 'json', 'numbers'}"
@@ -682,6 +682,24 @@ class TestContract:
             env=env, capture_output=True, text=True, check=True, timeout=60,
         )
         assert done.stdout.strip() == "[]"
+
+    def test_json_output_loads_no_json_module(self):
+        # One writer builds the tables' JSON by string formatting, so JSON output,
+        # like every other, runs without the json module.
+        probe = (
+            "import sys, qgas.cli as cli; "
+            "codes = [cli.main(['sweep', '--p-min', '100', '--p-max', '200', '--steps', '3', "
+            "'--format', 'json']), cli.main(['classify', '--p0', '150', '--format', 'json'])]; "
+            "sys.exit(0 if codes == [0, 0] and 'json' not in sys.modules else 'json loaded')"
+        )
+        src = os.path.dirname(os.path.dirname(qgas.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        sweep, classify = done.stdout.split("\n]\n")  # the sweep's array, then the classify object
+        assert len(json.loads(sweep + "]")) == 3 and json.loads(classify)["p0"] == 150.0
 
     def test_nonnumeric_flag_value_is_usage(self, cli):
         code, _, _ = cli("classify", "--p0", "many")

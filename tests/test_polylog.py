@@ -167,6 +167,62 @@ class TestSeriesParams:
         assert func(0.5, SeriesParams(max_terms=10**400)) == func(0.5)
 
 
+def _cap_rule(z, params):
+    """The term cap's rule as every evaluation once applied it: (trips, last term)."""
+    m = params.max_terms
+    last_term = z ** (m if m < 2**20 else 2**20) * math.exp(-1.5 * math.log(m))
+    return z <= 0.999 and last_term >= params.tolerance, last_term
+
+
+def _first_trip(params):
+    """The smallest float z <= 0.999 at which the rule trips, or None."""
+    lo, hi = 0.0, 0.999
+    if not _cap_rule(hi, params)[0]:
+        return None
+    while math.nextafter(lo, 1.0) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _cap_rule(mid, params)[0] else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("func,alternating", [(bose_g32, False), (fermi_f32_full, True)])
+@pytest.mark.parametrize(
+    "tolerance,max_terms",
+    [(1e-12, 1), (1e-12, 50), (1e-10, 50), (1e-3, 10), (1e-12, 5000), (1e-320, 3),
+     (1e-12, 2**20 + 1), (1e-12, 2**1030), (SeriesParams.tolerance, SeriesParams.max_terms)],
+    ids=[
+        "1e-12,1", "1e-12,50", "1e-10,50", "1e-3,10", "1e-12,5000", "1e-320,3", "1e-12,2**20+1",
+        "1e-12,2**1030", "defaults",
+    ],
+)
+def test_cap_skip_matches_the_per_call_rule(func, alternating, tolerance, max_terms):
+    # The evaluators skip the cap below a bound decided once per SeriesParams.  Around that
+    # bound, the rule's own first trip and z = 0.999 they must raise or return exactly as the
+    # rule applied on every call did, with the same message, partial sum and last term.
+    params = SeriesParams(tolerance, max_terms)
+    first = _first_trip(params)
+    assert first is None or params._cap_from <= first
+    centres = [c for c in (params._cap_from, first, 0.999) if c is not None and c <= 1.0]
+    points = {z for c in centres for z in _floats_around(c, 4) if z > 0.0}
+    outcomes = set()
+    for z in sorted(points):
+        trips, last_term = _cap_rule(z, params)
+        outcomes.add(trips)
+        if not trips:
+            assert func(z, params) == func(z)
+            continue
+        with pytest.raises(TruncationError) as err:
+            func(z, params)
+        sign = -1.0 if alternating else 1.0
+        partial = math.fsum(sign ** (k + 1) * z ** k * k ** -1.5 for k in range(1, max_terms + 1))
+        assert (err.value.partial_sum, err.value.last_term) == (partial, last_term)
+        assert str(err.value) == (
+            f"series did not converge within {max_terms} terms at z={z!r} "
+            f"(partial sum {partial!r}, last term {last_term!r})"
+        )
+    assert outcomes == ({False} if first is None else {False, True})
+
+
 @given(z=unit_z)
 def test_bose_bounds(z):
     value = bose_g32(z)

@@ -7,8 +7,9 @@ import pickle
 
 import pytest
 
+from qgas.errors import TruncationError
 from qgas.gas import FugacityPair, MonoEnergeticState, NaturalUnits, NormalizationScenario
-from qgas.polylog import SeriesParams
+from qgas.polylog import SeriesParams, bose_g32
 from qgas.regime import RegimeLabel, RegimeReport, SolveOutcome
 from qgas.sweep import SweepRow, SweepSpec
 
@@ -151,6 +152,15 @@ def test_copies_and_pickles_are_equal(name, round_trip):
     assert type(again) is type(record)
     assert again == record and hash(again) == hash(record)
     assert repr(again) == repr(record)
+    if name == "SeriesParams":
+        # The bound below which the evaluators skip the term cap is kept outside the fields;
+        # a copy rebuilds it, so the cap still trips where the original's does.
+        params = SeriesParams(1e-12, 50)
+        with pytest.raises(TruncationError) as original:
+            bose_g32(0.9, params)
+        with pytest.raises(TruncationError) as copied:
+            bose_g32(0.9, round_trip(params))
+        assert copied.value.partial_sum == original.value.partial_sum
 
 
 def test_class_level_defaults():

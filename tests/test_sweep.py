@@ -2,6 +2,7 @@
 
 import json
 import math
+from argparse import Namespace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,11 +10,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qgas.cli import (
+    _OCCUPATION_COLUMNS, _POLYLOG_COLUMNS, _POLYLOG_KINDS, _THRESHOLD_COLUMNS, _threshold_rows,
+)
 from qgas.errors import DomainError, SingularityError
-from qgas.regime import classify_both, classify_paper, classify_selfconsistent
+from qgas.polylog import DEFAULT_SERIES_PARAMS, fermi_f32_truncated
+from qgas.regime import (
+    FLAG_ORDER, P_CONDENSATION_NOMINAL, RegimeLabel, classify_both, classify_paper,
+    classify_selfconsistent,
+)
 from qgas.sweep import (
+    _COLUMNS,
     SweepRow,
     SweepSpec,
+    _json_text,
     emit_csv,
     emit_json,
     occupation_curve,
@@ -226,6 +236,73 @@ class TestEmitJson:
             assert record["z_prime"] == row.z_prime
             assert record["b"] == row.b
             assert tuple(record["flags"]) == row.flags
+
+
+def _classify_record(report):
+    return {**vars(row_from_report(report)), "labels_differ": report.labels_differ}
+
+
+def _threshold_records(b):
+    rows = _threshold_rows(Namespace(b=b, params=DEFAULT_SERIES_PARAMS, tolerance=1e-12))
+    return [dict(zip(_THRESHOLD_COLUMNS, row)) for row in rows]
+
+
+class _Float(float):
+    """A float subclass with its own repr, as numpy's float64 has."""
+
+    def __repr__(self):
+        return f"_Float({float(self)!r})"
+
+
+# Rows with 0, 1 and 2 flags; the first has only null fugacity cells.
+REPORTS = [classify_paper(50.0), classify_both(400.0), classify_both(P_CONDENSATION_NOMINAL)]
+
+# Every shape the tables write as JSON, each with the lists and dicts that the CLI builds.
+JSON_PAYLOADS = {
+    "sweep-0": [],
+    "sweep-1": [vars(row_from_report(REPORTS[2]))],
+    "sweep-3": [vars(row_from_report(report)) for report in REPORTS],
+    "sweep-run": list(map(vars, run_sweep(SweepSpec(100.0, 300.0, 5)))),
+    "classify-differ": _classify_record(classify_both(150.0)),
+    "classify-agree": _classify_record(REPORTS[1]),
+    "classify-paper": _classify_record(REPORTS[0]),
+    "thresholds": _threshold_records(None),
+    "thresholds-undefined": _threshold_records(0.3),
+    "polylog": dict(zip(_POLYLOG_COLUMNS, ("fermi3", 0.5, fermi_f32_truncated(0.5)))),
+    "occupation": [dict(zip(_OCCUPATION_COLUMNS, p)) for p in occupation_curve(0.5, 0.0, 2.0, 3)],
+    "float-subclass": [vars(SweepRow(_Float(150.0), 2.5, None, None, None, None, None, None, ()))],
+}
+
+
+class TestJsonWriter:
+    def test_payloads_cover_each_cell(self):
+        assert [len(row.flags) for row in map(row_from_report, REPORTS)] == [0, 1, 2]
+        classified = (JSON_PAYLOADS[f"classify-{k}"] for k in ("differ", "agree", "paper"))
+        assert {record["labels_differ"] for record in classified} == {True, False, None}
+        assert any(record["p0"] is None for record in JSON_PAYLOADS["thresholds-undefined"])
+
+    @pytest.mark.parametrize("name", list(JSON_PAYLOADS))
+    def test_writes_what_json_writes(self, name):
+        payload = JSON_PAYLOADS[name]
+        assert _json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+    def test_vocabulary_needs_no_escaping(self):
+        # The writer quotes strings as they are, which is what json writes for these.
+        words = [
+            *(label.value for label in RegimeLabel), *FLAG_ORDER, "bose", *_POLYLOG_KINDS,
+            *(record["name"] for record in _threshold_records(None)),
+            *_COLUMNS, "labels_differ", *_POLYLOG_COLUMNS, *_THRESHOLD_COLUMNS,
+            *_OCCUPATION_COLUMNS,
+        ]
+        for word in words:
+            assert json.dumps(word) == '"' + word + '"'
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_raises(self, value):
+        row = SweepRow(150.0, value, None, None, None, None, None, None, ())
+        for write in (lambda: _json_text({"z": value}), lambda: emit_json([row])):
+            with pytest.raises(ValueError, match="not a finite float"):
+                write()
 
 
 class TestOccupationCurve:
