@@ -59,32 +59,6 @@ _A_SPLIT = math.log(2.0)
 _LN_1E17 = 17.0 * math.log(10.0)
 _INV_K32 = tuple(tuple(k ** -1.5 for k in range(n, 0, -1)) for n in range(50))
 
-# Robinson's expansion of the order-3/2 function around z = 1,
-#   g(e**-a) = -2*sqrt(pi*a) + sum_n c_n * a**n,  |a| < 2*pi,
-# with c_n = zeta(3/2 - n) * (-1)**n / n!  (J. E. Robinson, Phys. Rev. 83,
-# 678 (1951); DLMF 25.12(ii)).  Values from mpmath at 40 digits, rounded to
-# doubles; listed from n = 16 down to n = 1 for Horner's rule, c_0 being
-# ZETA_3_2.  At a = ln 2 the first omitted term is below 1e-17 of the value.
-_ROBINSON_C = (
-    9.615068088964928e-15,
-    6.666434552781358e-14,
-    -4.654251296129395e-13,
-    -3.2755597533804275e-12,
-    2.3269489024551932e-11,
-    1.6715198353742387e-10,
-    -1.216940275850113e-09,
-    -9.008596705798667e-09,
-    6.812420484962472e-08,
-    5.300511944244494e-07,
-    -4.293985065577547e-06,
-    -3.7008427795661934e-05,
-    0.00035487203241043046,
-    0.004247533648305506,
-    -0.10394311248867728,
-    1.4603545088095868,
-)
-
-
 class SeriesParams(_Record):
     """Truncation controls of the direct series ``sum_k z**k / k**1.5``.
 
@@ -125,9 +99,28 @@ def _g32(z: float, a: float) -> float:
     near z = 1, where the ``sqrt(a)`` term amplifies any rounding of ``z``.
     """
     if a < _A_SPLIT:
-        s = 0.0
-        for c in _ROBINSON_C:
-            s = s * a + c
+        # Robinson's expansion of the order-3/2 function around z = 1,
+        #   g(e**-a) = -2*sqrt(pi*a) + sum_n c_n * a**n,  |a| < 2*pi,
+        # with c_n = zeta(3/2 - n) * (-1)**n / n!  (J. E. Robinson, Phys. Rev. 83,
+        # 678 (1951); DLMF 25.12(ii)).  Values from mpmath at 40 digits, rounded to
+        # doubles; summed by Horner's rule from n = 16 down to n = 1, c_0 being
+        # ZETA_3_2.  At a = ln 2 the first omitted term is below 1e-17 of the value.
+        s = 9.615068088964928e-15
+        s = s * a + 6.666434552781358e-14
+        s = s * a - 4.654251296129395e-13
+        s = s * a - 3.2755597533804275e-12
+        s = s * a + 2.3269489024551932e-11
+        s = s * a + 1.6715198353742387e-10
+        s = s * a - 1.216940275850113e-09
+        s = s * a - 9.008596705798667e-09
+        s = s * a + 6.812420484962472e-08
+        s = s * a + 5.300511944244494e-07
+        s = s * a - 4.293985065577547e-06
+        s = s * a - 3.7008427795661934e-05
+        s = s * a + 0.00035487203241043046
+        s = s * a + 0.004247533648305506
+        s = s * a - 0.10394311248867728
+        s = s * a + 1.4603545088095868
         # Near the split c_0 and the sqrt term nearly cancel; their
         # difference is exact, so taking it first saves ~1 ulp.
         return (ZETA_3_2 - _TWO_SQRT_PI * math.sqrt(a)) + s * a
@@ -193,9 +186,10 @@ def bose_g32(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> float:
         sum of the first ``max_terms`` terms and that last term.  Near z = 1
         no cap is enforced.
     """
-    z = _real(z, "z", _UNIT)
-    if z == 0.0:
-        return 0.0
+    if z.__class__ is not float or not 0.0 < z <= 1.0:  # a float in (0, 1] is taken as it is
+        z = _real(z, "z", _UNIT)
+        if z == 0.0:
+            return 0.0
     if params._cap_from <= z <= 0.999:
         _check_term_cap(z, params, alternating=False)
     return _g32(z, -math.log(z))
@@ -210,9 +204,10 @@ def fermi_f32_full(z: float, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> fl
     truncation contract as :func:`bose_g32`; a TruncationError carries the
     alternating partial sum.
     """
-    z = _real(z, "z", _UNIT)
-    if z == 0.0:
-        return 0.0
+    if z.__class__ is not float or not 0.0 < z <= 1.0:  # a float in (0, 1] is taken as it is
+        z = _real(z, "z", _UNIT)
+        if z == 0.0:
+            return 0.0
     if params._cap_from <= z <= 0.999:
         _check_term_cap(z, params, alternating=True)
     a = -math.log(z)

@@ -211,8 +211,11 @@ def fermi_residual(
     return fermi_constraint_lhs(z, series, params) - _real(coupling, "coupling", _POSITIVE)
 
 
-def _bracketed_bisect(curve, coupling: float, tol: float) -> SolveOutcome:
-    """Bisect ``curve(z) - coupling`` to width ``tol``, if it changes sign over [_BRACKET_LO, 1]."""
+def _bracketed_bisect(curve, coupling: float, tol: float, params) -> SolveOutcome:
+    """Bisect ``curve(z, params) - coupling`` to width ``tol``, if it changes sign.
+
+    The bracket is [_BRACKET_LO, 1], and ``params`` goes unchanged to every curve call.
+    """
     coupling = _real(coupling, "coupling", _POSITIVE)
     tol = _real(tol, "tol", _POSITIVE)
     lo, hi = _BRACKET_LO, 1.0
@@ -220,7 +223,7 @@ def _bracketed_bisect(curve, coupling: float, tol: float) -> SolveOutcome:
         raise DomainError(
             f"tol must be at most the bracket width {hi - lo!r} of [{lo!r}, {hi!r}], got {tol!r}"
         )
-    r_lo, r_hi = curve(lo) - coupling, curve(hi) - coupling
+    r_lo, r_hi = curve(lo, params) - coupling, curve(hi, params) - coupling
     if r_lo == 0.0:
         return SolveOutcome(z=lo, no_root_side=None)
     if r_hi == 0.0:
@@ -229,6 +232,7 @@ def _bracketed_bisect(curve, coupling: float, tol: float) -> SolveOutcome:
         return SolveOutcome(z=None, no_root_side="below")
     if r_lo < 0.0 and r_hi < 0.0:
         return SolveOutcome(z=None, no_root_side="above")
+    hi_above = r_hi > 0.0  # hi moves only to a midpoint of the same sign
     while hi - lo >= tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent doubles: the bracket can shrink no further
@@ -236,11 +240,11 @@ def _bracketed_bisect(curve, coupling: float, tol: float) -> SolveOutcome:
                 f"bisection cannot narrow [{lo!r}, {hi!r}] to width {tol!r}: "
                 "no double lies strictly between its ends"
             )
-        r_mid = curve(mid) - coupling
+        r_mid = curve(mid, params) - coupling
         if r_mid == 0.0:
             return SolveOutcome(z=mid, no_root_side=None)
-        if (r_mid > 0.0) == (r_hi > 0.0):
-            hi, r_hi = mid, r_mid
+        if (r_mid > 0.0) == hi_above:
+            hi = mid
         else:
             lo = mid
     return SolveOutcome(z=0.5 * (lo + hi), no_root_side=None)
@@ -255,7 +259,7 @@ def solve_bose(
     notes on the dip of H below e).  Couplings below H(1e-9) = e - 3.894e-11
     return no-root "below"; couplings above H(1) return no-root "above".
     """
-    return _bracketed_bisect(lambda z: _bose_lhs(z, params), coupling, tol)
+    return _bracketed_bisect(_bose_lhs, coupling, tol, params)
 
 
 def solve_fermi(
@@ -269,7 +273,7 @@ def solve_fermi(
     Phi increases strictly from e to its z = 1 endpoint value, so the root
     is unique whenever it exists.
     """
-    return _bracketed_bisect(lambda z: _fermi_lhs(z, series, params), coupling, tol)
+    return _bracketed_bisect(lambda z, params: _fermi_lhs(z, series, params), coupling, tol, params)
 
 
 def _threshold_momentum(name: str, b: float, denominator: float) -> float:
@@ -311,7 +315,7 @@ def condensation_fixed_point(
     z' = 1 the coupling is exactly e*b - 1.
     """
     # g is strictly increasing with g(0+) = 0 and g(1) > 1: the root exists.
-    outcome = _bracketed_bisect(lambda z: bose_g32(z, params), 1.0, tol)
+    outcome = _bracketed_bisect(bose_g32, 1.0, tol, params)
     return FugacityPair.from_branch(outcome.z, "bose", params)
 
 

@@ -116,7 +116,7 @@ def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)  # as the JSON writer writes a float subclass, such as numpy's
     if isinstance(value, tuple):
         return "|".join(value)
     return str(value)

@@ -659,6 +659,12 @@ class TestContract:
         assert out.startswith("usage: qgas")
         assert err == ""
 
+    def test_help_describes_the_program_by_the_module_docstring(self, cli):
+        code, out, _ = cli("--help")
+        assert code == EXIT_OK
+        assert "\n\nCommand-line front end.\n\n" in out
+        assert qgas.cli.__doc__.startswith("Command-line front end.\n")
+
     def test_help_process_exits_zero(self):
         src = os.path.dirname(os.path.dirname(qgas.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -241,6 +241,12 @@ class TestSpecificVolume:
             specific_volume_from_constraint(1.0, 1.0) / 4.0, rel=1e-12
         )
 
+    @pytest.mark.parametrize("z", [0.25, 1.0, 2.5])
+    def test_cube_of_hbar_scaling(self, z):
+        # v goes as hbar**3, and doubling hbar scales it by 8, a power of two: exactly.
+        doubled = specific_volume_from_constraint(3.0, z, NaturalUnits(hbar=2.0))
+        assert doubled == 8.0 * specific_volume_from_constraint(3.0, z)
+
     @pytest.mark.parametrize("z", [0.0, -0.5, math.e, 3.0])
     def test_domain(self, z):
         with pytest.raises(DomainError):

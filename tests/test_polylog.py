@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgas
-from qgas.errors import DomainError, TruncationError
+from qgas.errors import _UNIT, DomainError, TruncationError, _real
 from qgas.polylog import (
     ETA_3_2,
     ZETA_3_2,
@@ -297,6 +298,97 @@ def test_steps_above_one_half_fall_by_at_most_3_ulp():
             worst = max(worst, (prev - curr) / math.ulp(curr))
             prev = curr
     assert worst <= 3.0
+
+
+# The evaluator in loop form, the reference its straight-line Horner steps must match bit for
+# bit: Robinson's coefficients c_16 .. c_1 as a tuple, and the power series' 1 / k**1.5.
+ROBINSON_C = (
+    9.615068088964928e-15, 6.666434552781358e-14, -4.654251296129395e-13,
+    -3.2755597533804275e-12, 2.3269489024551932e-11, 1.6715198353742387e-10,
+    -1.216940275850113e-09, -9.008596705798667e-09, 6.812420484962472e-08,
+    5.300511944244494e-07, -4.293985065577547e-06, -3.7008427795661934e-05,
+    0.00035487203241043046, 0.004247533648305506, -0.10394311248867728, 1.4603545088095868,
+)
+
+
+def power_loop(z, a):
+    """The power series by Horner's rule, with as many terms as the evaluator sums."""
+    s = 0.0
+    for k in range(min(2 + int(17.0 * math.log(10.0) / a), 49), 0, -1):
+        s = s * z + k ** -1.5
+    return s * z
+
+
+def g_loop(z, a):
+    """g(z) at z = exp(-a): Robinson's expansion for a < ln 2, else the power series."""
+    if not a < math.log(2.0):
+        return power_loop(z, a)
+    s = 0.0
+    for c in ROBINSON_C:
+        s = s * a + c
+    return (ZETA_3_2 - 2.0 * math.sqrt(math.pi) * math.sqrt(a)) + s * a
+
+
+def f_loop(z, a):
+    return g_loop(z, a) - 2.0 ** -0.5 * g_loop(z * z, 2.0 * a)
+
+
+def test_evaluators_match_the_loop_form_bit_for_bit():
+    rng = random.Random(1951)
+    zs = [1.0 - 0.5 * rng.random() for _ in range(200_000)]  # (1/2, 1]
+    zs += sorted({z for centre in (0.5, 0.999, 1.0) for z in _floats_around(centre, 50)})
+    bose = [z for z in zs if bose_g32(z) != g_loop(z, -math.log(z))]
+    fermi = [z for z in zs if fermi_f32_full(z) != f_loop(z, -math.log(z))]
+    assert (bose, fermi) == ([], [])
+
+
+def test_one_half_and_below_take_the_power_series():
+    # The route split is a < ln 2, and -ln(1/2) is ln 2 itself: 1/2 sums the power series.
+    zs = _floats_around(0.5, 50)[:51]
+    assert [bose_g32(z) for z in zs] == [power_loop(z, -math.log(z)) for z in zs]
+    assert [fermi_f32_full(z) for z in zs] == [
+        power_loop(z, -math.log(z)) - 2.0 ** -0.5 * power_loop(z * z, -2.0 * math.log(z))
+        for z in zs
+    ]
+
+
+class _Float(float):
+    pass
+
+
+def _decides_like_the_range_check(func, loop, z):
+    # Only a float in (0, 1] skips _real; anything else is converted, refused or returned
+    # exactly as _real and the z = 0 return decide, with the same message.
+    try:
+        checked = _real(z, "z", _UNIT)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as refused:
+            func(z)
+        assert str(refused.value) == str(exc)
+        return
+    expected = 0.0 if checked == 0.0 else loop(checked, -math.log(checked))
+    assert repr(func(z)) == repr(expected)
+
+
+GUARD_INPUTS = {
+    "0": 0, "1": 1, "True": True, "False": False, "-0.0": -0.0, "0.0": 0.0, "5e-324": 5e-324,
+    "-5e-324": -5e-324, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+    "float-subclass": _Float(0.25), "str": "0.5", "None": None, "10**400": 10**400,
+}
+
+
+@pytest.mark.parametrize("func,loop", [(bose_g32, g_loop), (fermi_f32_full, f_loop)])
+@pytest.mark.parametrize("z", GUARD_INPUTS.values(), ids=GUARD_INPUTS.keys())
+def test_the_float_guard_decides_like_the_range_check(func, loop, z):
+    _decides_like_the_range_check(func, loop, z)
+
+
+@pytest.mark.parametrize("func,loop", [(bose_g32, g_loop), (fermi_f32_full, f_loop)])
+def test_the_floats_past_one_are_refused_like_the_range_check(func, loop):
+    z = 1.0
+    for _ in range(50):
+        z = math.nextafter(z, 2.0)
+        _decides_like_the_range_check(func, loop, z)
 
 
 @pytest.mark.parametrize("z", ORACLE_Z)

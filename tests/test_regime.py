@@ -316,16 +316,47 @@ class TestSolveFermi:
     ids=["bose", "fermi"],
 )
 def test_a_solve_checks_its_arguments_once_and_no_midpoint(monkeypatch, solve):
-    # The coupling and tol are checked on entry; the bisected curve checks nothing per midpoint.
-    checked = []
+    # The coupling and tol are checked on entry; the bisected curve checks nothing per midpoint,
+    # and the evaluator takes every float fugacity in (0, 1] without its range check.
+    checked, evaluated = [], []
 
     def counting(value, name, bounds=None):
         checked.append(name)
         return _real(value, name, bounds)
 
     monkeypatch.setattr("qgas.regime._real", counting)
+    monkeypatch.setattr("qgas.polylog._real", lambda *args: evaluated.append(args) or _real(*args))
     assert solve().found
-    assert checked == ["coupling", "tol"]
+    assert (checked, evaluated) == (["coupling", "tol"], [])
+
+
+@pytest.mark.parametrize(
+    "step,ends",
+    [(0.7, ("0.6999999999999998", "0.7")), (math.nextafter(0.7, 1.0), ("0.7", "0.7000000000000001"))],
+    ids=["midpoint-rounds-to-hi", "midpoint-rounds-to-lo"],
+)
+def test_bisection_stops_where_the_midpoint_rounds_onto_an_end(step, ends):
+    # A curve that steps between two adjacent doubles, bisected to the smallest positive tol,
+    # narrows the bracket to exactly those doubles; their midpoint then rounds onto one end
+    # (hi at the first step, lo at the second), and the solve must raise instead of looping.
+    # A subprocess with a timeout turns a hang into a failure.
+    probe = (
+        "from qgas.errors import ConvergenceError\n"
+        "from qgas.regime import _bracketed_bisect\n"
+        "try:\n"
+        f"    _bracketed_bisect(lambda z, params: 2.0 if z >= {step!r} else 0.0, 1.0, 5e-324, None)\n"
+        "except ConvergenceError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qgas.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=30,
+    )
+    assert done.stdout == (
+        f"bisection cannot narrow [{ends[0]}, {ends[1]}] to width 5e-324: "
+        "no double lies strictly between its ends\n"
+    )
 
 
 class TestThresholds:

@@ -24,6 +24,7 @@ from qgas.sweep import (
     SweepRow,
     SweepSpec,
     _json_text,
+    _table_text,
     emit_csv,
     emit_json,
     occupation_curve,
@@ -195,6 +196,15 @@ class TestEmitCsv:
             z=None, z_prime=None, b=None, flags=("no_bose_root", "near_threshold"),
         )
         assert emit_csv([row]).split("\n")[1].endswith(",no_bose_root|near_threshold")
+
+    def test_float_subclass_is_written_as_a_float(self):
+        # numpy's float64 reprs as np.float64(150.0); a cell holds the float's own repr, as JSON does.
+        row = SweepRow(_Float(150.0), _Float(2.5), None, None, None, _Float(0.25), None, None, ())
+        line = emit_csv([row]).split("\n")[1]
+        assert line == "150.0,2.5,,,,0.25,,,"
+        assert _table_text(("z", "p0"), [vars(row)]) == "z,p0\n0.25,150.0\n"
+        record = json.loads(emit_json([row]))[0]
+        assert line.split(",")[:2] == [repr(record["p0"]), repr(record["K"])]
 
     @given(rows=rows_strategy)
     def test_numeric_cells_round_trip(self, rows):
