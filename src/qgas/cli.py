@@ -16,6 +16,7 @@ import os
 import re
 import sys
 
+# Only these modules load with the CLI; each handler imports the library modules it runs.
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -25,20 +26,7 @@ from .errors import (
     _real,
 )
 from .polylog import SeriesParams, _branch_series
-from .regime import (
-    B_CONDENSATION_NOMINAL,
-    B_DILUTION_NOMINAL,
-    P_CONDENSATION_NOMINAL,
-    P_DILUTION_NOMINAL,
-    _classify,
-    condensation_fixed_point,
-    threshold_condensation,
-    threshold_dilution,
-)
-from .sweep import (
-    _COLUMNS, OCCUPATION_BRANCHES, SWEEP_MODES, SweepSpec, _csv_cell, _json_text, _table_text,
-    occupation_curve, row_from_report, run_sweep,
-)
+from ._tables import OCCUPATION_BRANCHES, SWEEP_MODES, _csv_cell, _json_text, _table_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,13 +81,14 @@ def _fill_settings(args: argparse.Namespace) -> None:
     and kept as ``args.params``, and after them the window.
     """
     for name, env_name, default in (
-        ("tolerance", "QGAS_TOL", SeriesParams.tolerance),
-        ("window", "QGAS_WINDOW", SweepSpec.window),
+        ("tolerance", "QGAS_TOL", lambda: SeriesParams.tolerance),
+        ("window", "QGAS_WINDOW",  # only classify and sweep take a window, and both run sweep code
+         lambda: __import__(__package__ + ".sweep").sweep.SweepSpec.window),
     ):
         if name in vars(args):
             env_value = _env_float(env_name)
             if getattr(args, name) is None:
-                setattr(args, name, default if env_value is None else env_value)
+                setattr(args, name, default() if env_value is None else env_value)
     if "tolerance" in vars(args):
         args.params = SeriesParams(tolerance=args.tolerance, max_terms=args.max_terms)
     if "window" in vars(args):
@@ -122,6 +111,10 @@ def _cmd_polylog(args: argparse.Namespace) -> tuple:
 
 
 def _threshold_rows(args: argparse.Namespace) -> list[tuple]:
+    from .regime import (
+        B_CONDENSATION_NOMINAL, B_DILUTION_NOMINAL, P_CONDENSATION_NOMINAL, P_DILUTION_NOMINAL,
+        condensation_fixed_point, threshold_condensation, threshold_dilution,
+    )
     b = args.b
     if b is None:
         fixed = condensation_fixed_point(args.params, args.tolerance)
@@ -147,6 +140,8 @@ def _cmd_thresholds(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple:
+    from .regime import _classify
+    from .sweep import _COLUMNS, row_from_report
     report = _classify(args.p0, args.mode, args.window, args.tolerance, args.params)
     record = {**vars(row_from_report(report)), "labels_differ": report.labels_differ}
     # One line per field that has a value; "-" stands for no flags.
@@ -168,6 +163,7 @@ def _check_grid_usage(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple:
+    from .sweep import _COLUMNS, SweepSpec, run_sweep
     _check_grid_usage("--p-min", args.p_min, "--p-max", args.p_max, args.steps)
     spec = SweepSpec(
         p_min=args.p_min,
@@ -181,6 +177,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_occupation(args: argparse.Namespace) -> tuple:
+    from .sweep import occupation_curve
     _check_grid_usage(
         "--beta-eps-min", args.beta_eps_min, "--beta-eps-max", args.beta_eps_max, args.steps,
         " (degenerate range)",

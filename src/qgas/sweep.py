@@ -11,7 +11,6 @@ __all__ = [
 ]
 
 import math
-from operator import itemgetter
 
 from .errors import (
     _ABOVE_ZERO, _FINITE, _NONNEGATIVE, _POSITIVE, _UNIT, DomainError, _Record, _one_of, _real,
@@ -20,9 +19,6 @@ from .errors import (
 from .gas import occupation_bose, occupation_fermi
 from .polylog import DEFAULT_SERIES_PARAMS, SeriesParams
 from .regime import SERIES_VARIANTS, RegimeReport, _labels, _ordered_flags, coupling_from_momentum
-
-SWEEP_MODES = ("paper", "self", "both")
-OCCUPATION_BRANCHES = ("bose", "fermi")
 
 
 class SweepSpec(_Record):
@@ -37,6 +33,7 @@ class SweepSpec(_Record):
         self, p_min: float, p_max: float, steps: int, mode: str = mode, series: str = series,
         window: float = window, tol: float = tol,
     ):
+        from ._tables import SWEEP_MODES  # on use, as below: importing sweep loads no table module
         p_min = _real(p_min, "p_min", _ABOVE_ZERO)
         p_min, p_max = _check_grid(p_min, p_max, steps, "p_min", "p_max")
         _one_of(mode, SWEEP_MODES, "mode")
@@ -111,40 +108,15 @@ def run_sweep(spec: SweepSpec, params: SeriesParams = DEFAULT_SERIES_PARAMS) -> 
     ]
 
 
-def _csv_cell(value) -> str:
-    """The one CSV cell rule: None is empty, a float is its repr, flags join with '|'."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return float.__repr__(value)  # as the JSON writer writes a float subclass, such as numpy's
-    if isinstance(value, tuple):
-        return "|".join(value)
-    return str(value)
-
-
-def _json_text(payload) -> str:
-    """``payload``, a dict or a list of flat dicts, as indented JSON with a trailing newline."""
-    from ._json_writer import to_json  # on first use: `import qgas` need not compile the writer
-    return to_json(payload, "") + "\n"
-
-
-def _table_text(columns: tuple[str, ...], records) -> str:
-    """``records``, dicts keyed by at least ``columns``, as CSV of those columns in that order.
-
-    The CSV has a header, LF line ends and a trailing newline; no quoting,
-    because no cell holds a comma, a quote or a line break.
-    """
-    lines = (columns, *map(itemgetter(*columns), records))  # two or more columns: a tuple each
-    return "".join(",".join(map(_csv_cell, cells)) + "\n" for cells in lines)
-
-
 def emit_csv(rows: list[SweepRow]) -> str:
     """Render rows as deterministic CSV (LF line ends, trailing newline)."""
+    from ._tables import _table_text
     return _table_text(_COLUMNS, map(vars, rows))
 
 
 def emit_json(rows: list[SweepRow]) -> str:
     """Render rows as a JSON array of objects in column order."""
+    from ._tables import _json_text
     return _json_text(list(map(vars, rows)))
 
 
@@ -162,6 +134,7 @@ def occupation_curve(
     Bose branch a singular grid point (z = 1, beta_eps = 0) raises
     SingularityError just as the point evaluation does.
     """
+    from ._tables import OCCUPATION_BRANCHES
     lo, hi = _check_grid(beta_eps_min, beta_eps_max, steps, "beta_eps_min", "beta_eps_max")
     _one_of(branch, OCCUPATION_BRANCHES, "branch")
     if branch == "bose":  # name a negative bound, not its grid point; z is still named first

@@ -119,6 +119,17 @@ class TestThresholds:
         assert rows[1]["name"] == "condensation"
         assert rows[1]["p0"] is None
 
+    def test_condensation_needs_e_times_b_above_one(self, cli):
+        # At this b, math.e * b is exactly 1.0: no condensation momentum, and no refusal either.
+        b = 0.36787944117144233
+        assert math.e * b == 1.0 and math.nextafter(b, 1.0) == 0.3678794411714424
+        code, out, err = cli("thresholds", "--b", repr(b), "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)[1] == {"name": "condensation", "b": b, "p0": None, "z": None}
+        code, out, _ = cli("thresholds", "--b", "0.3678794411714424", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)[1]["p0"] == 2.521067272375281e18
+
     def test_invalid_b(self, cli):
         code, out, _ = cli("thresholds", "--b", "0")
         assert code == EXIT_DOMAIN
@@ -678,8 +689,12 @@ class TestContract:
     def test_import_loads_no_heavy_module(self):
         # The records are plain classes, no qgas code imports json, and
         # every annotation evaluates as written, without __future__; grid
-        # steps are checked without the numbers ABCs.
-        heavy = "{'__future__', 'dataclasses', 'inspect', 'json', 'numbers'}"
+        # steps are checked without the numbers ABCs.  Each handler imports
+        # the library modules it runs, so the CLI alone loads none of them.
+        heavy = (
+            "{'__future__', 'dataclasses', 'inspect', 'json', 'numbers', "
+            "'qgas.gas', 'qgas.regime', 'qgas.sweep'}"
+        )
         probe = f"import sys, qgas.cli; print(sorted({heavy} & set(sys.modules)))"
         src = os.path.dirname(os.path.dirname(qgas.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -688,6 +703,27 @@ class TestContract:
             env=env, capture_output=True, text=True, check=True, timeout=60,
         )
         assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv,unused",
+        [
+            (["polylog", "--kind", "bose", "--z", "0.5", "--format", "json"],
+             ["qgas.gas", "qgas.regime", "qgas.sweep"]),
+            (["thresholds"], ["qgas.sweep"]),
+        ],
+        ids=["polylog", "thresholds"],
+    )
+    def test_subcommand_loads_only_the_modules_it_runs(self, argv, unused):
+        probe = (
+            f"import sys, qgas.cli as cli; code = cli.main({argv!r}); "
+            f"sys.exit(code or sorted({set(unused)!r} & set(sys.modules)) or None)"
+        )
+        src = os.path.dirname(os.path.dirname(qgas.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_json_output_loads_no_json_module(self):
         # One writer builds the tables' JSON by string formatting, so JSON output,

@@ -110,6 +110,13 @@ class TestOccupationFermi:
         with pytest.raises(DomainError):
             occupation_fermi(-0.1, 1.0)
 
+    @pytest.mark.parametrize("z", [0.3, 0.99])
+    @pytest.mark.parametrize("beta_eps", [0.0, -0.0])
+    def test_zero_energy_takes_the_q_branch(self, z, beta_eps):
+        # z / (1 + z) exactly; the 1 / (1/z + 1) branch rounds differently at both fugacities.
+        assert occupation_fermi(z, beta_eps) == z / (1.0 + z)
+        assert 1.0 / (1.0 / z + 1.0) != z / (1.0 + z)
+
     @pytest.mark.parametrize("beta_eps", [-1e308, -1.0, 0.0, 1.0])
     def test_empty_at_zero_fugacity(self, beta_eps):
         assert occupation_fermi(0.0, beta_eps) == 0.0

@@ -19,12 +19,11 @@ from qgas.regime import (
     FLAG_ORDER, P_CONDENSATION_NOMINAL, RegimeLabel, classify_both, classify_paper,
     classify_selfconsistent,
 )
+from qgas._tables import _json_text, _table_text
 from qgas.sweep import (
     _COLUMNS,
     SweepRow,
     SweepSpec,
-    _json_text,
-    _table_text,
     emit_csv,
     emit_json,
     occupation_curve,
